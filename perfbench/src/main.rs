@@ -14,21 +14,27 @@
 //! metrics. README.md in this directory explains the workloads and what
 //! each metric is expected to move.
 
+mod hostref;
 mod layers;
 mod trace;
 mod workload;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use mpic_core::DriverError;
 use mpic_deposit::KernelConfig;
 use mpic_grid::FieldArrays;
 use mpic_machine::Phase;
 
+use hostref::HostRef;
 use layers::{Exact, Mark, Replay, ReplayTimes};
 use trace::Tracer;
 use workload::{Member, Workload};
+
+/// Fewest measured passes in a run, however short `--seconds` is.
+const MIN_PASSES: usize = 3;
 
 const USAGE: &str = "usage: mpic-perfbench --workload <uniform_cic_simd|lwfa_qsp_ckpt|table1_mix> \
 --seed <n> --seconds <s> --trace <0|1> [--shuffle-seed <n>]";
@@ -129,6 +135,8 @@ fn same_fields(a: &FieldArrays, b: &FieldArrays) -> bool {
 struct Round {
     host_s: f64,
     particles: usize,
+    /// Host reference sample taken just before the step.
+    ref_ms: f64,
     replay: Option<ReplayTimes>,
 }
 
@@ -201,19 +209,15 @@ fn main() -> ExitCode {
 
     // --- Measured passes ----------------------------------------------
     // Every pass replays the same window of steps from a checkpoint taken
-    // after one warm-up step, and the number of passes follows from
-    // `--seconds` alone, so every run does the same work however fast
-    // the host is. Passes are repetitions: their emulated counters and
-    // final fields must agree bit for bit. With tracing on, passes run
-    // in groups of plain, traced, traced, plain; that order cancels a
-    // linear drift in host speed, so the tracing overhead compares like
-    // with like.
-    let plain_passes = (args.seconds / wl.nominal_pass_seconds()).round().max(2.0) as usize;
-    let pass_count = if args.trace {
-        4 * (plain_passes as f64 / 8.0).round().max(1.0) as usize
-    } else {
-        plain_passes
-    };
+    // after one warm-up step. Passes run until `--seconds` have gone by,
+    // and at least `MIN_PASSES`. Passes are repetitions: their emulated
+    // counters and final fields must agree bit for bit. With tracing on,
+    // passes run in groups of plain, traced, traced, plain, and only
+    // whole groups; that order cancels a linear drift in host speed, so
+    // the tracing overhead compares like with like. The host reference
+    // is sampled before every step.
+    let group = if args.trace { 4 } else { 1 };
+    let mut host_ref = HostRef::new();
     let mut replays: Vec<Replay> = if args.trace {
         timed.iter().map(|m| Replay::new(&m.sim)).collect()
     } else {
@@ -228,7 +232,12 @@ fn main() -> ExitCode {
     let window = wl.pass_steps();
     let mut passes: Vec<Pass> = Vec::new();
     let mut first: Option<(Exact, Vec<FieldArrays>)> = None;
-    while ok && passes.len() < pass_count {
+    let measuring = Instant::now();
+    while ok
+        && (passes.len() < MIN_PASSES
+            || !passes.len().is_multiple_of(group)
+            || measuring.elapsed().as_secs_f64() < args.seconds)
+    {
         let traced = args.trace && matches!(passes.len() % 4, 1 | 2);
         for m in &mut timed {
             m.begin_pass();
@@ -241,6 +250,7 @@ fn main() -> ExitCode {
             let mut round = Round {
                 host_s: 0.0,
                 particles: 0,
+                ref_ms: host_ref.sample(),
                 replay: None,
             };
             let mut spans = Vec::with_capacity(timed.len());
@@ -323,6 +333,20 @@ fn main() -> ExitCode {
     let step_ms: Vec<f64> = plain.iter().map(|r| 1e3 * r.host_s).collect();
     let host_s: f64 = plain.iter().map(|r| r.host_s).sum();
     let particle_steps: usize = plain.iter().map(|r| r.particles).sum();
+    let throughput = particle_steps as f64 / host_s;
+    let ref_ms = median(&plain.iter().map(|r| r.ref_ms).collect::<Vec<_>>());
+    // Each step at the recording host's speed: its host time divided by
+    // how much slower than at recording the reference ran over its pass.
+    let norm_ms: Vec<f64> = passes
+        .iter()
+        .filter(|p| !p.traced)
+        .flat_map(|p| {
+            let pass_ref = median(&p.rounds.iter().map(|r| r.ref_ms).collect::<Vec<_>>());
+            let scale = hostref::NOMINAL_MS / pass_ref;
+            p.rounds.iter().map(move |r| 1e3 * r.host_s * scale)
+        })
+        .collect();
+    let norm_s: f64 = norm_ms.iter().sum::<f64>() / 1e3;
     let peak = peak_rss_mb();
     checks.check(peak.is_some(), || "peak RSS unreadable".into());
     let metrics = if args.trace {
@@ -331,15 +355,21 @@ fn main() -> ExitCode {
             .filter(|p| p.traced)
             .flat_map(|p| &p.rounds)
             .collect();
-        layer_metrics(&traced, median(&step_ms), &exact, &load_s)
+        let mut m = vec![
+            metric("host.particle_steps_per_s", throughput, "1/s"),
+            metric("host.step_ms_p50", median(&step_ms), "ms"),
+            metric("host.ref_ms", ref_ms, "ms"),
+        ];
+        m.extend(layer_metrics(&traced, median(&step_ms), &exact, &load_s));
+        m
     } else {
         vec![
             metric(
-                "particle_steps_per_s",
-                particle_steps as f64 / host_s,
+                "particle_steps_per_s_norm",
+                particle_steps as f64 / norm_s,
                 "1/s",
             ),
-            metric("step_ms_p50", median(&step_ms), "ms"),
+            metric("step_ms_p50_norm", median(&norm_ms), "ms"),
             metric("emu_ms_per_step", 1e3 * exact.step_s, "ms"),
             metric("emu_deposit_ms_per_step", 1e3 * exact.deposit_s, "ms"),
             metric("setup_s", median(&setup_s), "s"),
@@ -368,6 +398,13 @@ fn main() -> ExitCode {
         window,
         step_ms.len(),
         host_s,
+    );
+    println!(
+        "  as measured: {:.1} particle-steps/s, step_ms_p50 {:.3} ms; host reference {:.3} ms (nominal {} ms)",
+        throughput,
+        median(&step_ms),
+        ref_ms,
+        hostref::NOMINAL_MS,
     );
     for m in &metrics {
         println!("  {:<32} {:>16.6} {}", m.name, m.value, m.unit);

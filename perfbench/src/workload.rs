@@ -48,17 +48,6 @@ impl Workload {
         }
     }
 
-    /// Host seconds of one untraced pass on the host the benchmark was
-    /// recorded on (see README.md); `--seconds` divided by this gives the
-    /// number of passes.
-    pub fn nominal_pass_seconds(self) -> f64 {
-        match self {
-            Workload::UniformCicSimd => 1.5,
-            Workload::LwfaQspCkpt => 5.0,
-            Workload::Table1Mix => 3.5,
-        }
-    }
-
     /// Times the workload is built per run; `setup_s` is their median.
     pub fn setup_reps(self) -> usize {
         match self {
