@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpic_core::workloads;
 use mpic_deposit::{KernelConfig, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry, TileLayout};
-use mpic_machine::{Machine, MachineConfig};
+use mpic_machine::{Machine, MachineConfig, SchedulerPolicy, WorkerPool};
 use mpic_particles::Gpma;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,8 +39,22 @@ fn bench_deposition_kernels(c: &mut Criterion) {
                 dep.prepare(&mut m, &geom, &layout, &mut container);
                 let mut fields = FieldArrays::new(&geom);
                 b.iter(|| {
-                    dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-                    dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+                    dep.sort_step_parallel(
+                        &mut m,
+                        &geom,
+                        &layout,
+                        &mut container,
+                        false,
+                        WorkerPool::sequential().exec(SchedulerPolicy::Static),
+                    );
+                    dep.deposit_step_parallel(
+                        &mut m,
+                        &geom,
+                        &layout,
+                        &container,
+                        &mut fields,
+                        WorkerPool::sequential().exec(SchedulerPolicy::Static),
+                    );
                     std::hint::black_box(fields.jx.sum())
                 });
             },

@@ -27,11 +27,11 @@
 //!   the committed value (per execution mode) fails the probe. A
 //!   differing CPU count skips the gate (numbers from a different host
 //!   class are not comparable).
-//! * **SIMD floor** — the single-thread lane-parallel mode must beat
-//!   batched-scalar by at least [`SIMD_HOST_SPEEDUP_FLOOR`] on the
-//!   host clock. A silent fallback to the scalar loop would pass every
-//!   bit gate (identity is the contract), so only a speed floor
-//!   catches it.
+//! * **SIMD floor** — single-thread, the SIMD mode (streaming prices)
+//!   must beat batched-scalar (cache-walk prices) by at least
+//!   [`SIMD_HOST_SPEEDUP_FLOOR`] on the host clock. Both modes run the
+//!   same lane kernels, so the floor guards the host cost of the stream
+//!   pricer against the cache walk it replaces.
 //!
 //! When the host has too few CPUs to run the largest worker count in
 //! parallel, `thread_scaling` records `skipped-insufficient-cores` and
@@ -80,12 +80,18 @@ const PHASE_DISPATCHES_PER_STEP: f64 = 5.0;
 /// ms/step more than this factor above the committed record fails.
 const GATE_TOLERANCE: f64 = 1.25;
 
-/// Host-speedup floor of the lane-parallel SIMD mode over batched
-/// scalar, single thread: the lane Boris push plus masked vector
-/// tails must buy at least this much on the canonical workload.
-/// Deliberately below the committed ~2.3x so container noise does not
-/// trip it, but high enough that losing the lane push (falling back to
-/// a scalar loop) fails the probe.
+/// Host-speedup floor of the SIMD mode over batched-scalar, single
+/// thread. Both batched modes run the same lane gather, push and
+/// deposit kernels; they differ only in how memory traffic is priced.
+/// Batched-scalar walks the cache simulator for every staging load,
+/// rhocell pass, reduction sweep and run gather, while SIMD prices them
+/// with the state-free stream model. The floor therefore guards stream
+/// pricing against cache-walk pricing: a stream price that starts
+/// consulting or updating cache state, or that loses its shared-walk
+/// shortcuts, fails the probe even though every bit gate still passes.
+/// Measured on a 2-vCPU container: 2.84-3.64x before the batched-scalar
+/// value loops were removed, 2.72-2.94x after. The floor sits well
+/// below both so host noise does not trip it.
 const SIMD_HOST_SPEEDUP_FLOOR: f64 = 1.8;
 
 fn batching_label(on: bool) -> &'static str {
@@ -689,10 +695,9 @@ fn main() {
                 }
             }
         }
-        // SIMD floor: the lane-parallel mode must actually be lane
-        // parallel. A silent fallback to the scalar loop would still
-        // pass every bit gate (the contract is bitwise identity), so
-        // only a host-speed floor catches it.
+        // SIMD floor: stream pricing must stay cheaper on the host than
+        // cache-walk pricing. Host cost is invisible to every bit gate,
+        // so only a host-speed floor catches a slow pricer.
         if let Some(h) = simd_host_speedup {
             if h < SIMD_HOST_SPEEDUP_FLOOR {
                 eprintln!(

@@ -65,24 +65,24 @@ pub struct SimConfig {
     /// (deposit regroups FP adds within a tight ULP bound on the
     /// direct-scatter kernel only).
     pub batching: bool,
-    /// Selects the lane-parallel (SIMD) execution mode of the batched
-    /// hot kernels: the run gather interpolates `W`-wide chunks of
-    /// particles from the shared stencil node block at once, the batched
-    /// deposit kernels accumulate lanes of nodes per iteration, and the
-    /// rhocell→grid reduction folds each cell's components in one fused
-    /// traversal (priced by `Machine::v_touch_reduce_block`). ANDed with
-    /// [`SimConfig::batching`]: without the batched path there are no
-    /// runs to chunk, so `simd` alone is a no-op and the per-particle
-    /// path stays the bitwise reference. Values are bit-identical to the
-    /// batched-scalar path everywhere (the lane loops preserve the
-    /// per-particle association order). Emulated counters follow the
-    /// streaming-price contract: the memory-bound block transfers are
-    /// priced by the state-free streaming model instead of cache walks,
-    /// so `Preprocess`, `Compute` and `Gather` charge strictly fewer
+    /// Selects the streaming price model for the batched hot kernels.
+    /// Both batched modes run one lane value path: the run gather
+    /// interpolates `W`-wide packs of particles from the shared stencil
+    /// node block and pushes them with the lane-parallel Boris kernel,
+    /// and the batched deposit kernels accumulate lanes of nodes per
+    /// iteration. `simd` only picks how their memory traffic is priced:
+    /// [`mpic_machine::Price::Stream`] (the state-free streaming model,
+    /// plus the register-reuse run gather and the fused rhocell→grid
+    /// reduction charge) instead of [`mpic_machine::Price::Walk`] (the
+    /// cache simulator). ANDed with [`SimConfig::batching`]: without the
+    /// batched path `simd` alone is a no-op and the per-particle path
+    /// stays the bitwise reference. Values are therefore bit-identical
+    /// between the two batched modes. Under the streaming prices
+    /// `Preprocess`, `Compute`, `Sort` and `Gather` charge strictly fewer
     /// cycles (as does `Reduce` on the rhocell-based kernels), while
-    /// `Sort`, `Push`, `FieldSolve` and `Other` stay bit-identical.
-    /// `false` is the default. Runtime knob: like `num_workers`, it may
-    /// differ freely between a snapshot's save and restore.
+    /// `Push`, `FieldSolve` and `Other` stay bit-identical. `false` is
+    /// the default. Runtime knob: like `num_workers`, it may differ
+    /// freely between a snapshot's save and restore.
     pub simd: bool,
 }
 

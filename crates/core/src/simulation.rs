@@ -14,8 +14,7 @@ use mpic_particles::{
 use mpic_push::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
 use mpic_push::gather::{
     charge_gather, charge_gather_run, charge_gather_run_reuse, gather_fields_with_cell,
-    gather_from_block, gather_from_block_lanes_masked, load_node_block, GatherCost, NodeBlock,
-    MAX_STENCIL_NODES,
+    gather_from_block_lanes_masked, load_node_block, GatherCost, NodeBlock, MAX_STENCIL_NODES,
 };
 use mpic_push::PushScratch;
 use mpic_solver::{BoundaryKind, MaxwellSolver, SolverKind};
@@ -348,9 +347,9 @@ impl Simulation {
         // (whose sampled address stream is the paper's unsorted-gather
         // cost signal) regardless of the knob.
         let batched = self.cfg.batching && self.depositor.strategy().provides_sorted_order();
-        // SIMD is a mode *of* the batched sweep (lane-width packs over a
-        // run's particles), so it inherits the same sorted-order guard.
-        let simd = batched && self.cfg.simd;
+        // Streaming prices are a mode *of* the batched sweep, so they
+        // inherit the same sorted-order guard.
+        let stream = batched && self.cfg.simd;
         let workers = self.pool.workers();
         if self.push_scratch.len() < workers {
             self.push_scratch.resize_with(workers, PushScratch::default);
@@ -364,21 +363,7 @@ impl Simulation {
             &mut self.electrons.tiles,
             &mut self.push_scratch,
             |wm, _t, tile, scratch| {
-                if simd {
-                    push_tile_batched_simd(
-                        wm,
-                        geom,
-                        order,
-                        fields,
-                        &field_addrs,
-                        &boris,
-                        absorbing,
-                        zlo,
-                        zhi,
-                        tile,
-                        scratch,
-                    );
-                } else if batched {
+                if batched {
                     push_tile_batched(
                         wm,
                         geom,
@@ -389,6 +374,7 @@ impl Simulation {
                         absorbing,
                         zlo,
                         zhi,
+                        stream,
                         tile,
                         scratch,
                     );
@@ -1245,8 +1231,16 @@ fn push_tile(
 
 /// The cell-run batched variant of [`push_tile`]: particles are visited
 /// in GPMA-sorted order (the grouping heuristic — same-bin particles
-/// are adjacent), each same-cell run loads its stencil node block once,
-/// and every particle of the run interpolates from the cached block.
+/// are adjacent), buffered per same-cell run as `(slot, frac)` pairs,
+/// and — when the run closes — interpolated from the run's cached
+/// stencil node block AND Boris-pushed in lane-width packs: the masked
+/// lane gather ([`gather_from_block_lanes_masked`]) hands `(E, B)` to the
+/// lane-parallel push ([`boris_push_lanes`]) still in lane registers,
+/// and ragged tails run the same packs under a prefix mask. Each lane
+/// holds one particle end to end, and every lane operation is the
+/// correctly-rounded per-lane twin of its scalar counterpart, so E/B
+/// values, positions, momenta and removals are bit-identical to the
+/// per-particle sweep.
 ///
 /// Run boundaries come from each particle's **actual located cell**,
 /// not from its GPMA bin: the moving-window shift translates positions
@@ -1255,14 +1249,21 @@ fn push_tile(
 /// the interpolation weights. A uniformly stale order still groups
 /// perfectly, so the amortisation is unaffected.
 ///
-/// Value-exact versus the per-particle gather — same node values, same
-/// weights, same accumulation order (gathers are read-only, so the
-/// cached block cannot go stale within a run) — while the cost model
-/// charges one run-scoped block gather per field array instead of a
-/// per-particle node sweep. Still a pure function of the tile: the
-/// iteration order, removals (queued in GPMA order rather than raw slot
-/// order) and all charges depend only on tile state, so worker-count
-/// and scheduler bit-identity hold exactly as for the reference path.
+/// `stream` picks how a closed run's gather is priced. Without it,
+/// [`charge_gather_run`] walks the cache simulator once per distinct
+/// stencil line per field array. With it, the previous run's stencil
+/// block stays in lane registers across the run boundary, so
+/// [`charge_gather_run_reuse`] charges only the cache lines the new
+/// stencil adds, at the state-free streaming price: a pure function of
+/// the run's node indices plus the declared field-array footprint (grids
+/// small enough to sit in L1 cross the roofline to the resident line
+/// price). The reuse state is tile-local — reset at tile start and
+/// advanced in run order, which the GPMA sweep fixes independently of
+/// worker count or scheduler policy — so Gather cycles stay
+/// bit-identical across workers x policies either way. Deferring the
+/// Boris push to run close is safe: gathers are read-only and each
+/// particle's writeback touches only its own SoA slots, so no buffered
+/// particle can observe another's push.
 fn push_tile_batched(
     wm: &mut Machine,
     geom: &GridGeometry,
@@ -1273,123 +1274,7 @@ fn push_tile_batched(
     absorbing: bool,
     zlo: f64,
     zhi: f64,
-    tile: &mut ParticleTile,
-    scratch: &mut PushScratch,
-) {
-    scratch.clear();
-    scratch.live.extend(tile.gpma.iter_sorted().map(|(_, p)| p));
-    if scratch.live.is_empty() {
-        return;
-    }
-    wm.mem().flush_cache();
-    let mut block = NodeBlock::new();
-    // No cell has this value after wrapping, so the first particle
-    // always opens a run.
-    let mut run_cell = [usize::MAX; 3];
-    let mut run_len = 0usize;
-    for &p in &scratch.live {
-        let (mut x, mut y, mut z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
-        let (located, frac) = geom.locate(x, y, z);
-        let cell = geom.wrap_cell(located);
-        if cell != run_cell {
-            // Close the previous run's charge, then cache the new
-            // cell's stencil block (indices + six field node sets).
-            if run_len > 0 {
-                charge_gather_run(
-                    wm,
-                    GatherCost::default(),
-                    run_len,
-                    field_addrs,
-                    &block.idx[..block.nodes],
-                );
-            }
-            load_node_block(geom, order, fields, cell, &mut block);
-            run_cell = cell;
-            run_len = 0;
-        }
-        run_len += 1;
-        let (e, b) = gather_from_block(order, &block, frac);
-        let (mut ux, mut uy, mut uz) = (tile.soa.ux[p], tile.soa.uy[p], tile.soa.uz[p]);
-        boris_push(
-            boris, e, b, &mut ux, &mut uy, &mut uz, &mut x, &mut y, &mut z,
-        );
-        let wrapped = geom.wrap_position([x, y, z]);
-        x = wrapped[0];
-        y = wrapped[1];
-        if absorbing {
-            if z < zlo || z >= zhi {
-                scratch.removals.push((p, tile.cells[p]));
-            }
-        } else {
-            z = wrapped[2];
-        }
-        tile.soa.x[p] = x;
-        tile.soa.y[p] = y;
-        tile.soa.z[p] = z;
-        tile.soa.ux[p] = ux;
-        tile.soa.uy[p] = uy;
-        tile.soa.uz[p] = uz;
-    }
-    if run_len > 0 {
-        charge_gather_run(
-            wm,
-            GatherCost::default(),
-            run_len,
-            field_addrs,
-            &block.idx[..block.nodes],
-        );
-    }
-    for &(p, bin) in &scratch.removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !scratch.removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
-    }
-    charge_push(wm, scratch.live.len());
-}
-
-/// The lane-parallel variant of [`push_tile_batched`]
-/// ([`SimConfig::simd`]): same GPMA-sorted sweep and same run discovery
-/// from each particle's located cell, but a run's particles are buffered
-/// as `(slot, frac)` pairs and — when the run closes — interpolated AND
-/// Boris-pushed in lane-width packs: the masked lane gather
-/// ([`gather_from_block_lanes_masked`]) hands `(E, B)` to the
-/// lane-parallel push ([`boris_push_lanes`]) still in lane registers,
-/// and ragged tails run the same packs under a prefix mask instead of a
-/// scalar remainder loop. Each lane holds one particle end to end, and
-/// every lane operation is the correctly-rounded per-lane twin of its
-/// scalar counterpart, so E/B values, positions, momenta and removals
-/// are bit-identical to the batched-scalar sweep.
-/// *Pricing* is where the lane-parallel mode differs: the
-/// previous run's stencil block stays in lane registers across the
-/// run boundary, so [`charge_gather_run_reuse`] charges only the cache
-/// lines the new stencil adds — and it prices them with the state-free
-/// streaming model (a flat bandwidth cost per line, no cache-sim walk),
-/// so the charge is a pure function of the run's node indices
-/// (sorted-cell order makes consecutive stencils overlap heavily) plus
-/// the declared field-array footprint: grids small enough to sit in L1
-/// cross the roofline to the resident line price instead of being
-/// overcharged at the DRAM stream rate.
-/// The reuse state is tile-local — reset at tile start and advanced in
-/// run order, which the GPMA sweep fixes independently of worker count
-/// or scheduler policy — so Gather cycles stay bit-identical across
-/// workers x policies and never price above the scalar mode's walking
-/// charge on either side of the crossover. Deferring
-/// the Boris push to run close is safe: gathers are read-only and each
-/// particle's writeback touches only its own SoA slots, so no buffered
-/// particle can observe another's push.
-fn push_tile_batched_simd(
-    wm: &mut Machine,
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    fields: &FieldArrays,
-    field_addrs: &[VAddr; 6],
-    boris: &BorisCoeffs,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
+    stream: bool,
     tile: &mut ParticleTile,
     scratch: &mut PushScratch,
 ) {
@@ -1418,7 +1303,7 @@ fn push_tile_batched_simd(
         let (located, frac) = geom.locate(x, y, z);
         let cell = geom.wrap_cell(located);
         if cell != run_cell {
-            flush_run_simd(
+            flush_run(
                 wm,
                 geom,
                 order,
@@ -1431,8 +1316,7 @@ fn push_tile_batched_simd(
                 &block,
                 &scratch.run_slots,
                 &scratch.run_frac,
-                &prev_idx[..prev_n],
-                field_footprint,
+                stream.then_some((&prev_idx[..prev_n], field_footprint)),
                 &mut scratch.removals,
             );
             if !scratch.run_slots.is_empty() {
@@ -1447,7 +1331,7 @@ fn push_tile_batched_simd(
         scratch.run_slots.push(p);
         scratch.run_frac.push(frac);
     }
-    flush_run_simd(
+    flush_run(
         wm,
         geom,
         order,
@@ -1460,8 +1344,7 @@ fn push_tile_batched_simd(
         &block,
         &scratch.run_slots,
         &scratch.run_frac,
-        &prev_idx[..prev_n],
-        field_footprint,
+        stream.then_some((&prev_idx[..prev_n], field_footprint)),
         &mut scratch.removals,
     );
     scratch.run_slots.clear();
@@ -1477,19 +1360,21 @@ fn push_tile_batched_simd(
     charge_push(wm, scratch.live.len());
 }
 
-/// Closes one buffered same-cell run of the SIMD sweep: charges the run
-/// gather with run-to-run register reuse (`prev_idx` is the node list of
-/// the previously flushed block — cache lines it covers stay in lane
-/// registers and charge nothing; `field_footprint` feeds the roofline
-/// crossover), then interpolates and Boris-pushes the particles in
-/// lane-width packs. The final ragged pack — every run length that is
-/// not a multiple of [`W`] — runs the same lane kernels under a prefix
-/// mask ([`gather_from_block_lanes_masked`]): inactive tail lanes carry
-/// zeros through the gather and push (all operations stay finite on
-/// zeros) and are simply never written back. Active lanes are
-/// bit-identical to the scalar sweep, and particles retire in buffer
-/// (= GPMA) order so the removal sequence matches it too.
-fn flush_run_simd(
+/// Closes one buffered same-cell run of the batched sweep: charges the
+/// run gather, then interpolates and Boris-pushes the particles in
+/// lane-width packs. `stream` selects the gather price: `None` walks the
+/// cache ([`charge_gather_run`]); `Some((prev_idx, field_footprint))`
+/// streams with run-to-run register reuse ([`charge_gather_run_reuse`]:
+/// `prev_idx` is the node list of the previously flushed block — cache
+/// lines it covers stay in lane registers and charge nothing;
+/// `field_footprint` feeds the roofline crossover). The final ragged
+/// pack — every run length that is not a multiple of [`W`] — runs the
+/// same lane kernels under a prefix mask
+/// ([`gather_from_block_lanes_masked`]): inactive tail lanes carry zeros
+/// through the gather and push (all operations stay finite on zeros) and
+/// are simply never written back. Particles retire in buffer (= GPMA)
+/// order, so the removal sequence is a pure function of the tile.
+fn flush_run(
     wm: &mut Machine,
     geom: &GridGeometry,
     order: ShapeOrder,
@@ -1502,22 +1387,26 @@ fn flush_run_simd(
     block: &NodeBlock,
     slots: &[usize],
     fracs: &[[f64; 3]],
-    prev_idx: &[usize],
-    field_footprint: u64,
+    stream: Option<(&[usize], u64)>,
     removals: &mut Vec<(usize, usize)>,
 ) {
     if slots.is_empty() {
         return;
     }
-    charge_gather_run_reuse(
-        wm,
-        GatherCost::default(),
-        slots.len(),
-        field_addrs,
-        &block.idx[..block.nodes],
-        prev_idx,
-        field_footprint,
-    );
+    let node_idx = &block.idx[..block.nodes];
+    let cost = GatherCost::default();
+    match stream {
+        None => charge_gather_run(wm, cost, slots.len(), field_addrs, node_idx),
+        Some((prev_idx, footprint)) => charge_gather_run_reuse(
+            wm,
+            cost,
+            slots.len(),
+            field_addrs,
+            node_idx,
+            prev_idx,
+            footprint,
+        ),
+    }
     let mut i = 0;
     while i < slots.len() {
         let n = (slots.len() - i).min(W);
@@ -1555,9 +1444,9 @@ fn flush_run_simd(
 
 /// Boundary handling + SoA writeback of one already-pushed particle
 /// (post-push position `pos` and momentum `u`): statement-for-statement
-/// the tail of [`push_tile_batched`]'s particle loop after its
-/// [`boris_push`] call, factored out so every lane of the SIMD pack
-/// retires through the identical scalar epilogue.
+/// the tail of [`push_tile`]'s particle loop after its [`boris_push`]
+/// call, so every lane of a pack retires through the same scalar
+/// epilogue.
 fn finish_push(
     geom: &GridGeometry,
     absorbing: bool,

@@ -366,12 +366,12 @@ pub struct TileScratch {
 /// scattered chunks are charged as gathers, so the locality benefit of
 /// sorting is priced from the actual index stream.
 ///
-/// With `simd` set (the lane-parallel mode, see `SimConfig::simd`), the
-/// vectorised staging branches price their attribute loads by the
-/// state-free streaming model instead of walking the cache simulator:
-/// seven parallel unit-stride SoA streams are exactly what the
-/// prefetcher services at bandwidth, and the pure-function charge keeps
-/// the mode bit-reproducible from the tile data alone. The scalar
+/// With `simd` set (the streaming-price mode, see `SimConfig::simd`),
+/// the vectorised staging branches price their attribute loads with
+/// [`mpic_machine::Price::Stream`] instead of walking the cache
+/// simulator: seven parallel unit-stride SoA streams are exactly what
+/// the prefetcher services at bandwidth, and the pure-function charge
+/// keeps the mode bit-reproducible from the tile data alone. The scalar
 /// staging style ignores the flag (a scalar loop has no lanes to
 /// stream).
 ///
@@ -385,13 +385,11 @@ pub fn stage_tile(
     soa: &mpic_particles::ParticleSoA,
     iteration: &[usize],
     soa_addr: &[VAddr; 7],
-    staging_addr: VAddr,
     prep: PrepStyle,
     simd: bool,
     st: &mut Staging,
 ) {
-    let _ = staging_addr; // Retained for future cache-priced staging.
-    use mpic_machine::Phase;
+    use mpic_machine::{Phase, Price};
     let n = iteration.len();
     let support = order.support();
     st.reset(n, support);
@@ -437,25 +435,18 @@ pub fn stage_tile(
                 // Roofline footprint of one SoA attribute array: the
                 // whole tile's particles are swept, so that is the
                 // operand span the crossover tests against L1.
-                let soa_footprint = (soa.x.len() * 8) as u64;
+                let price = Price::stream_if(simd, (soa.x.len() * 8) as u64);
                 while p < n {
                     let lanes = (n - p).min(mpic_machine::VLANES);
                     let chunk = &iteration[p..p + lanes];
                     let contiguous = chunk.windows(2).all(|w| w[1] == w[0] + 1);
                     // 7 attribute loads: unit-stride when the iteration
-                    // order is compacted, gathers when GPMA-indexed. The
-                    // lane-parallel mode prices both shapes by the
-                    // state-free streaming model.
+                    // order is compacted, gathers when GPMA-indexed.
                     for a in soa_addr {
-                        match (contiguous, simd) {
-                            (true, false) => m.v_touch_load(a.offset_f64(chunk[0]), lanes),
-                            (true, true) => m.v_touch_load_streamed(
-                                a.offset_f64(chunk[0]),
-                                lanes,
-                                soa_footprint,
-                            ),
-                            (false, false) => m.v_touch_gather(*a, chunk),
-                            (false, true) => m.v_touch_gather_streamed(*a, chunk, soa_footprint),
+                        if contiguous {
+                            m.v_touch_load(a.offset_f64(chunk[0]), lanes, price);
+                        } else {
+                            m.v_touch_gather(*a, chunk, price);
                         }
                     }
                     // Arithmetic: gamma+velocity (6), locate (6), weights

@@ -8,7 +8,7 @@
 //! Algorithm 1's phases, charging each to its [`Phase`] bucket.
 
 use mpic_grid::{Array3, FieldArrays, GridGeometry, Tile, TileLayout};
-use mpic_machine::{Exec, Machine, Phase, SchedulerPolicy, VAddr, WorkerPool};
+use mpic_machine::{Exec, Machine, Phase, Price, VAddr};
 use mpic_particles::{MoveStats, ParticleContainer, SortPolicy, SortStats};
 
 use crate::common::{
@@ -53,8 +53,6 @@ pub struct TileCtx<'a> {
     pub tile: &'a Tile,
     /// Shape order in use.
     pub order: ShapeOrder,
-    /// Staging scratch base address.
-    pub staging_addr: VAddr,
     /// Whether the kernel should take its cell-run batched path:
     /// accumulate each same-cell particle run into a stack-resident
     /// stencil block and touch the tile accumulator once per run. Only
@@ -62,16 +60,23 @@ pub struct TileCtx<'a> {
     /// order (unsorted input falls back to the per-particle reference
     /// sweep — run batching cannot amortise length-1 runs).
     pub batched: bool,
-    /// Whether the batched path should run its lane-parallel (SIMD)
-    /// inner loops: `W`-wide node chunks in the run-block accumulation,
-    /// state-free streamed pricing of the staging loads and rhocell
-    /// accumulate passes, and the fused rhocell→grid reduction charge.
-    /// Only ever set together with `batched` (the per-particle path has
-    /// no runs to chunk). Deposited values are bit-identical to the
-    /// batched-scalar path; the memory-bound phase charges (Preprocess,
-    /// Compute on rhocell kernels, Reduce) are strictly cheaper under
-    /// the streaming prices. See `SimConfig::simd`.
+    /// Whether the batched path's memory traffic is priced by the
+    /// state-free streaming model ([`Price::Stream`]) instead of the
+    /// cache walk ([`Price::Walk`]): the staging loads, the rhocell
+    /// accumulate passes and the fused rhocell→grid reduction charge.
+    /// Both batched modes run the same lane value path, so deposited
+    /// values do not depend on this flag; only the memory-bound phase
+    /// charges (Preprocess, Compute on rhocell kernels, Reduce) do. Only
+    /// ever set together with `batched`. See `SimConfig::simd`.
     pub simd: bool,
+}
+
+impl TileCtx<'_> {
+    /// The memory price of an access to an operand of byte span
+    /// `footprint` in this tile's mode.
+    pub fn price(&self, footprint: u64) -> Price {
+        Price::stream_if(self.simd, footprint)
+    }
 }
 
 /// A current-deposition kernel variant.
@@ -137,7 +142,7 @@ pub struct Depositor {
     /// Whether kernels run their cell-run batched hot path (see
     /// [`Depositor::set_batching`]).
     batching: bool,
-    /// Whether the batched path runs its lane-parallel inner loops (see
+    /// Whether the batched paths are priced by the streaming model (see
     /// [`Depositor::set_simd`]).
     simd: bool,
     /// Per-worker reusable tile buffers (index = worker id).
@@ -187,16 +192,18 @@ impl Depositor {
         self.batching
     }
 
-    /// Selects the lane-parallel (SIMD) inner loops of the batched
-    /// kernel paths (`SimConfig::simd`). ANDed with batching: the flag
-    /// engages only where a cell-run batched sweep runs at all, so
-    /// `simd` without `batching` (or on an unsorted strategy) is a
-    /// no-op, and the per-particle path stays the bitwise reference.
+    /// Selects streaming prices ([`Price::Stream`]) over cache-walk
+    /// prices ([`Price::Walk`]) for the batched kernel paths
+    /// (`SimConfig::simd`). Both batched modes run the same lane value
+    /// path, so this flag changes only the emulated charges. ANDed with
+    /// batching: `simd` without `batching` (or on an unsorted strategy)
+    /// is a no-op, and the per-particle path stays the bitwise
+    /// reference.
     pub fn set_simd(&mut self, simd: bool) {
         self.simd = simd;
     }
 
-    /// Whether the lane-parallel batched inner loops are selected.
+    /// Whether the batched paths are priced by the streaming model.
     pub fn simd(&self) -> bool {
         self.simd
     }
@@ -265,35 +272,14 @@ impl Depositor {
     }
 
     /// Runs the sorting phase for this step, returning the work report.
-    /// `force_global` lets the caller's policy escalate to a global sort.
-    /// Single-worker convenience wrapper around
-    /// [`Depositor::sort_step_parallel`].
-    pub fn sort_step(
-        &mut self,
-        m: &mut Machine,
-        geom: &GridGeometry,
-        layout: &TileLayout,
-        container: &mut ParticleContainer,
-        force_global: bool,
-    ) -> StepSortReport {
-        let pool = WorkerPool::sequential();
-        self.sort_step_parallel(
-            m,
-            geom,
-            layout,
-            container,
-            force_global,
-            pool.exec(SchedulerPolicy::Static),
-        )
-    }
-
-    /// [`Depositor::sort_step`] with any global counting sort sharded
-    /// across the persistent worker pool. The particle order, the
-    /// [`StepSortReport`] and the emulated [`Phase::Sort`] charge are
-    /// identical for every worker count and scheduler policy: the
-    /// sharded sort reproduces the sequential permutation exactly and
-    /// the cost model is driven by the workload-shaped [`SortStats`],
-    /// not by host threading.
+    /// `force_global` lets the caller's policy escalate to a global
+    /// counting sort, sharded across the persistent worker pool (callers
+    /// without a pool pass `WorkerPool::sequential()`). The particle
+    /// order, the [`StepSortReport`] and the emulated [`Phase::Sort`]
+    /// charge are identical for every worker count and scheduler policy:
+    /// the sharded sort reproduces the sequential permutation exactly
+    /// and the cost model is driven by the workload-shaped
+    /// [`SortStats`], not by host threading.
     pub fn sort_step_parallel(
         &mut self,
         m: &mut Machine,
@@ -322,11 +308,11 @@ impl Depositor {
             }
             SortStrategy::Incremental(_) => {
                 let addrs = self.addrs.as_ref().expect("prepare() not called");
-                // The lane-parallel mode prices this sweep — three
+                // The streaming mode prices this sweep — three
                 // unit-stride position streams — by the state-free
                 // streaming model like every other memory-bound phase;
-                // the scalar mode walks the cache simulator.
-                let simd = self.simd && self.batching;
+                // the other modes walk the cache simulator.
+                let stream = self.simd && self.batching;
                 // Stream-touch the position arrays: the sweep reads x,y,z
                 // of every particle (VPU-vectorised, Algorithm 1 line 13).
                 m.in_phase(Phase::Sort, |m| {
@@ -334,16 +320,11 @@ impl Depositor {
                         let n = tile.soa.slots();
                         // Roofline footprint of one position array: the
                         // sweep spans the tile's whole slot range.
-                        let footprint = (n * 8) as u64;
+                        let price = Price::stream_if(stream, (n * 8) as u64);
                         let mut p = 0;
                         while p < n {
                             for d in 0..3 {
-                                let a = addrs.soa[t][d].offset_f64(p);
-                                if simd {
-                                    m.v_touch_load_streamed(a, 8, footprint);
-                                } else {
-                                    m.v_touch_load(a, 8);
-                                }
+                                m.v_touch_load(addrs.soa[t][d].offset_f64(p), 8, price);
                             }
                             m.v_ops(4); // Cell compare + mask bookkeeping.
                             p += 8;
@@ -367,31 +348,11 @@ impl Depositor {
     }
 
     /// Runs staging, the kernel and (if applicable) the rhocell reduction
-    /// for every tile, writing current onto `fields`. Single-worker
-    /// convenience wrapper around [`Depositor::deposit_step_parallel`].
-    pub fn deposit_step(
-        &mut self,
-        m: &mut Machine,
-        geom: &GridGeometry,
-        layout: &TileLayout,
-        container: &ParticleContainer,
-        fields: &mut FieldArrays,
-    ) {
-        let pool = WorkerPool::sequential();
-        self.deposit_step_parallel(
-            m,
-            geom,
-            layout,
-            container,
-            fields,
-            pool.exec(SchedulerPolicy::Static),
-        );
-    }
-
-    /// The parallel tile pipeline: shards tiles across the persistent
-    /// worker pool for staging, the kernel sweep and the reduction
-    /// *cost* charging, then applies every tile's output onto the grid
-    /// sequentially in tile order.
+    /// for every tile, writing current onto `fields`. A parallel tile
+    /// pipeline: shards tiles across the persistent worker pool for
+    /// staging, the kernel sweep and the reduction *cost* charging, then
+    /// applies every tile's output onto the grid sequentially in tile
+    /// order.
     ///
     /// Each tile executes on a forked worker machine whose cache is
     /// flushed at the tile boundary — the model of one tile per core with
@@ -525,7 +486,6 @@ fn stage_tile_scratch(
         &ptile.soa,
         &scratch.iteration,
         &addrs.soa[t],
-        addrs.staging,
         kernel.prep_style(),
         simd,
         &mut scratch.staging,
@@ -564,7 +524,6 @@ fn deposit_tile_worker(
         geom,
         tile,
         order,
-        staging_addr: addrs.staging,
         batched,
         simd,
     };
@@ -576,8 +535,8 @@ fn deposit_tile_worker(
         };
         kernel.deposit_tile(wm, &ctx, &scratch.staging, &mut out);
     }
-    // The SIMD mode folds all three components per cell in one fused
-    // traversal; the scalar mode sweeps per component. Same functional
+    // The streaming mode folds all three components per cell in one
+    // fused traversal; the cache-walk modes sweep per component. Same functional
     // result (values are applied in `apply_to_grid` either way) — only
     // the Reduce-phase charge differs.
     if simd {
@@ -623,7 +582,6 @@ fn scatter_tile_worker(
         geom,
         tile,
         order,
-        staging_addr: addrs.staging,
         batched,
         simd,
     };

@@ -187,21 +187,12 @@ fn deposit_run_cic(
         let base = rho.index(comp, cell, 0);
         let addr = rho_addr.offset_f64(base);
         // Rhocell accumulate: sorted runs visit consecutive cells, so
-        // these slices form an ascending dense sweep — the lane-parallel
+        // these slices form an ascending dense sweep — the streaming
         // mode prices it as a stream instead of walking the cache.
-        let cur = if ctx.simd {
-            m.v_load_streamed(addr, rho.cell_slice(comp, cell), rho.footprint_bytes())
-        } else {
-            m.v_load(addr, rho.cell_slice(comp, cell))
-        };
+        let price = ctx.price(rho.footprint_bytes());
+        let cur = m.v_load(addr, rho.cell_slice(comp, cell), price);
         let sum = m.v_add(cur, contrib);
-        let fp = rho.footprint_bytes();
-        let slice = rho.cell_slice_mut(comp, cell);
-        if ctx.simd {
-            m.v_store_streamed(addr, sum, slice, 8, fp);
-        } else {
-            m.v_store(addr, sum, slice, 8);
-        }
+        m.v_store(addr, sum, rho.cell_slice_mut(comp, cell), 8, price);
     }
 }
 
@@ -285,24 +276,12 @@ fn deposit_run_qsp(
                 let contrib = VReg(vals);
                 let base = rho.index(comp, cell, node0);
                 let addr = rho_addr.offset_f64(base);
-                // Streamed under SIMD, as in the CIC extraction.
-                let cur = if ctx.simd {
-                    m.v_load_streamed(
-                        addr,
-                        &rho.cell_slice(comp, cell)[node0..node0 + 8],
-                        rho.footprint_bytes(),
-                    )
-                } else {
-                    m.v_load(addr, &rho.cell_slice(comp, cell)[node0..node0 + 8])
-                };
+                // Priced as in the CIC extraction.
+                let price = ctx.price(rho.footprint_bytes());
+                let cur = m.v_load(addr, &rho.cell_slice(comp, cell)[node0..node0 + 8], price);
                 let sum = m.v_add(cur, contrib);
-                let fp = rho.footprint_bytes();
                 let slice = rho.cell_slice_mut(comp, cell);
-                if ctx.simd {
-                    m.v_store_streamed(addr, sum, &mut slice[node0..node0 + 8], 8, fp);
-                } else {
-                    m.v_store(addr, sum, &mut slice[node0..node0 + 8], 8);
-                }
+                m.v_store(addr, sum, &mut slice[node0..node0 + 8], 8, price);
             }
         }
     }
@@ -374,24 +353,12 @@ fn deposit_run_tsc(
                 let contrib = VReg(vals);
                 let base = rho.index(comp, cell, node0);
                 let addr = rho_addr.offset_f64(base);
-                // Streamed under SIMD, as in the CIC extraction.
-                let cur = if ctx.simd {
-                    m.v_load_streamed(
-                        addr,
-                        &rho.cell_slice(comp, cell)[node0..node0 + 3],
-                        rho.footprint_bytes(),
-                    )
-                } else {
-                    m.v_load(addr, &rho.cell_slice(comp, cell)[node0..node0 + 3])
-                };
+                // Priced as in the CIC extraction.
+                let price = ctx.price(rho.footprint_bytes());
+                let cur = m.v_load(addr, &rho.cell_slice(comp, cell)[node0..node0 + 3], price);
                 let sum = m.v_add(cur, contrib);
-                let fp = rho.footprint_bytes();
                 let slice = rho.cell_slice_mut(comp, cell);
-                if ctx.simd {
-                    m.v_store_streamed(addr, sum, &mut slice[node0..node0 + 3], 3, fp);
-                } else {
-                    m.v_store(addr, sum, &mut slice[node0..node0 + 3], 3);
-                }
+                m.v_store(addr, sum, &mut slice[node0..node0 + 3], 3, price);
             }
         }
     }

@@ -10,7 +10,7 @@
 //! arrays (equation 5).
 
 use mpic_grid::{Array3, GridGeometry, Tile};
-use mpic_machine::{Machine, Phase, VAddr, VLANES};
+use mpic_machine::{Machine, Phase, Price, VAddr, VLANES};
 
 use crate::common::node_coord;
 use crate::shape::ShapeOrder;
@@ -154,32 +154,14 @@ impl Rhocell {
         }
     }
 
-    /// VPU-based reduction of the accumulators onto the global current
-    /// arrays (Algorithm 2 Stage 3): for every cell and component, loads
-    /// the contiguous node vector and scatter-adds it to the grid.
-    ///
-    /// Equivalent to [`Rhocell::charge_reduction`] followed by
-    /// [`Rhocell::apply_to_grid`]; the parallel driver calls the two
-    /// halves separately (cost charged per worker, values applied in
-    /// deterministic tile order).
-    pub fn reduce_to_grid(
-        &self,
-        m: &mut Machine,
-        geom: &GridGeometry,
-        tile: &Tile,
-        rho_addr: VAddr,
-        j_addr: [VAddr; 3],
-        jx: &mut Array3,
-        jy: &mut Array3,
-        jz: &mut Array3,
-    ) {
-        self.charge_reduction(m, geom, tile, rho_addr, j_addr);
-        self.apply_to_grid(geom, tile, jx, jy, jz);
-    }
-
-    /// Charges the full instruction and memory stream of the reduction —
-    /// node-vector loads plus grid scatter-adds with conflict pricing —
-    /// without touching grid data. Charged to [`Phase::Reduce`].
+    /// Charges the full instruction and memory stream of the VPU-based
+    /// reduction of the accumulators onto the global current arrays
+    /// (Algorithm 2 Stage 3) — for every cell and component, a load of
+    /// the contiguous node vector plus grid scatter-adds with conflict
+    /// pricing — without touching grid data. Charged to
+    /// [`Phase::Reduce`]. [`Rhocell::apply_to_grid`] is the functional
+    /// half; the parallel driver calls the two separately (cost charged
+    /// per worker, values applied in deterministic tile order).
     ///
     /// `rho_addr` is the tile's rhocell base; `j_addr` the three grid
     /// bases.
@@ -213,7 +195,7 @@ impl Rhocell {
                     let mut node = 0;
                     while node < self.nodes {
                         let n = (self.nodes - node).min(VLANES);
-                        m.v_touch_load(rho_addr.offset_f64(slice_start + node), n);
+                        m.v_touch_load(rho_addr.offset_f64(slice_start + node), n, Price::Walk);
                         m.v_touch_scatter_add(j_addr[comp], &idx[node..node + n]);
                         node += n;
                     }
@@ -226,7 +208,7 @@ impl Rhocell {
     /// lane-parallel (SIMD) reduction folds each cell's per-node vectors
     /// across **all active components in one pass** instead of sweeping
     /// the cell once per component, and this charge prices that stream
-    /// through [`Machine::v_touch_reduce_block`] — scatter address
+    /// through [`Machine::v_touch_reduce_block_reuse`] — scatter address
     /// generation paid once per node (not once per node per component)
     /// and each component's distinct destination cache lines charged
     /// once. The functional values are identical either way (the grid
@@ -240,8 +222,7 @@ impl Rhocell {
     /// and the fused fold keeps the previous cell's destination lines in
     /// the store buffer: when the preceding folded cell had the **same
     /// active-component set**, its node list is passed as the reuse block
-    /// and already-written lines charge nothing
-    /// ([`Machine::v_touch_reduce_block_reuse`]). The reuse state lives
+    /// and already-written lines charge nothing. The reuse state lives
     /// inside one invocation (per tile, per call), advancing in cell
     /// order, so the charge stream is deterministic across worker counts
     /// and scheduler policies.
@@ -267,7 +248,7 @@ impl Rhocell {
             let dst_footprint = (dims[0] * dims[1] * dims[2] * 8) as u64;
             for cell in 0..self.n_cells {
                 // Partial-active cells fold only their live components:
-                // the component pair lists feed v_touch_reduce_block.
+                // the component pair lists feed the fused reduce touch.
                 let mut srcs = [VAddr(0); 3];
                 let mut dsts = [VAddr(0); 3];
                 let mut active = 0usize;
@@ -406,9 +387,8 @@ mod tests {
             m.mem().alloc_f64(len),
             m.mem().alloc_f64(len),
         ];
-        r.reduce_to_grid(
-            &mut m, &geom, &tile, rho_addr, ja, &mut jx, &mut jy, &mut jz,
-        );
+        r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
+        r.apply_to_grid(&geom, &tile, &mut jx, &mut jy, &mut jz);
         assert_eq!(jx.get(3, 3, 3), 7.0);
         assert_eq!(jx.sum(), 7.0);
         assert_eq!(jy.sum(), 0.0);
@@ -433,9 +413,8 @@ mod tests {
             m.mem().alloc_f64(len),
             m.mem().alloc_f64(len),
         ];
-        r.reduce_to_grid(
-            &mut m, &geom, &tile, rho_addr, ja, &mut jx, &mut jy, &mut jz,
-        );
+        r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
+        r.apply_to_grid(&geom, &tile, &mut jx, &mut jy, &mut jz);
         assert_eq!(jz.get(9, 9, 9), 1.5);
     }
 

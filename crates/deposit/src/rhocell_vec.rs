@@ -16,7 +16,7 @@
 //! iteration the rhocell working set stays cache-resident, which is the
 //! paper's `Rhocell+IncrSort` observation.
 
-use mpic_machine::{LaneMask, Lanes, Machine, Phase, VAddr, VReg, VLANES};
+use mpic_machine::{LaneMask, Lanes, Machine, Phase, Price, VAddr, VReg, VLANES};
 use mpic_particles::cell_runs;
 
 use crate::common::{PrepStyle, Staging};
@@ -57,7 +57,6 @@ impl DepositionKernel for RhocellKernel {
         let TileOutput::Rho { rho_addr, rho } = out else {
             panic!("rhocell kernel requires a rhocell output");
         };
-        let _ = ctx.staging_addr;
         if ctx.batched {
             deposit_tile_batched(m, ctx, st, *rho_addr, rho, self.hand_tuned);
             return;
@@ -115,10 +114,14 @@ impl DepositionKernel for RhocellKernel {
                         // cell's contiguous node slice.
                         let base = rho.index(comp, cell, node);
                         let addr = rho_addr.offset_f64(base);
-                        let cur = m.v_load(addr, &rho.cell_slice(comp, cell)[node..node + w]);
+                        let cur = m.v_load(
+                            addr,
+                            &rho.cell_slice(comp, cell)[node..node + w],
+                            Price::Walk,
+                        );
                         let sum = m.v_add(cur, contrib);
                         let slice = rho.cell_slice_mut(comp, cell);
-                        m.v_store(addr, sum, &mut slice[node..node + w], w);
+                        m.v_store(addr, sum, &mut slice[node..node + w], w, Price::Walk);
                     }
                     node += w;
                 }
@@ -175,70 +178,43 @@ fn deposit_tile_batched(
                 while node < nodes {
                     let w = (nodes - node).min(VLANES);
                     m.v_ops(1); // Fold sz into the chunk.
-                    if ctx.simd {
-                        // Lane-parallel block accumulate: same products,
-                        // same per-(comp, node) add order, identical
-                        // charge calls — bitwise equal to the scalar arm.
-                        // Ragged final chunks run masked (QSP's 64 nodes
-                        // split evenly, TSC's 27 leave a 3-wide tail):
-                        // inactive lanes never read or write past `w`.
-                        let mask = LaneMask::prefix(w);
-                        let mut svals = [0.0; VLANES];
-                        for (l, v) in svals.iter_mut().enumerate().take(w) {
-                            let nd = node + l;
-                            *v = sxy[nd % (s * s)] * st.s(2, nd / (s * s), p);
-                        }
-                        let svals = Lanes(svals);
-                        for comp in 0..3 {
-                            m.v_ops(1); // Effective-current multiply.
-                            m.v_issue(1); // Block accumulate (L1-resident).
-                            Lanes::load_masked(&block[comp][node..node + w], mask)
-                                .mul_acc_masked(svals, Lanes::splat(wq[comp]), mask)
-                                .store_masked(&mut block[comp][node..node + w], mask);
-                        }
-                    } else {
-                        for comp in 0..3 {
-                            m.v_ops(1); // Effective-current multiply.
-                            m.v_issue(1); // Block accumulate (L1-resident).
-                            for l in 0..w {
-                                let nd = node + l;
-                                let ab = nd % (s * s);
-                                let c = nd / (s * s);
-                                let sval = sxy[ab] * st.s(2, c, p);
-                                block[comp][nd] += sval * wq[comp];
-                            }
-                        }
+                                // Lane-parallel block accumulate, per (comp, node) in
+                                // particle order. Ragged final chunks run masked
+                                // (QSP's 64 nodes split evenly, TSC's 27 leave a
+                                // 3-wide tail): inactive lanes never read or write
+                                // past `w`.
+                    let mask = LaneMask::prefix(w);
+                    let mut svals = [0.0; VLANES];
+                    for (l, v) in svals.iter_mut().enumerate().take(w) {
+                        let nd = node + l;
+                        *v = sxy[nd % (s * s)] * st.s(2, nd / (s * s), p);
+                    }
+                    let svals = Lanes(svals);
+                    for comp in 0..3 {
+                        m.v_ops(1); // Effective-current multiply.
+                        m.v_issue(1); // Block accumulate (L1-resident).
+                        Lanes::load_masked(&block[comp][node..node + w], mask)
+                            .mul_acc_masked(svals, Lanes::splat(wq[comp]), mask)
+                            .store_masked(&mut block[comp][node..node + w], mask);
                     }
                     node += w;
                 }
             }
             // One load/add/store pass over the cell's rhocell slice per
             // run — the per-particle path pays this per particle. Sorted
-            // runs visit consecutive cells, so under SIMD the pass is
-            // priced as a dense ascending stream instead of a cache walk.
+            // runs visit consecutive cells, so the streaming mode prices
+            // the pass as a dense ascending stream.
+            let price = ctx.price(rho.footprint_bytes());
             for comp in 0..3 {
                 let mut node = 0;
                 while node < nodes {
                     let w = (nodes - node).min(VLANES);
                     let base = rho.index(comp, cell, node);
                     let addr = rho_addr.offset_f64(base);
-                    let cur = if ctx.simd {
-                        m.v_load_streamed(
-                            addr,
-                            &rho.cell_slice(comp, cell)[node..node + w],
-                            rho.footprint_bytes(),
-                        )
-                    } else {
-                        m.v_load(addr, &rho.cell_slice(comp, cell)[node..node + w])
-                    };
+                    let cur = m.v_load(addr, &rho.cell_slice(comp, cell)[node..node + w], price);
                     let sum = m.v_add(cur, VReg::from_slice(&block[comp][node..node + w]));
-                    let fp = rho.footprint_bytes();
                     let slice = rho.cell_slice_mut(comp, cell);
-                    if ctx.simd {
-                        m.v_store_streamed(addr, sum, &mut slice[node..node + w], w, fp);
-                    } else {
-                        m.v_store(addr, sum, &mut slice[node..node + w], w);
-                    }
+                    m.v_store(addr, sum, &mut slice[node..node + w], w, price);
                     node += w;
                 }
             }
@@ -304,7 +280,6 @@ mod tests {
         for hand_tuned in [false, true] {
             let mut m = Machine::new(MachineConfig::lx2());
             let soa_addr = std::array::from_fn(|_| m.mem().alloc_f64(64));
-            let staging = m.mem().alloc_f64(65536);
             let rho_addr = m.mem().alloc_f64(3 * 64 * 8);
             let tile = layout.tile(0);
             let iter: Vec<usize> = c.tiles[0].soa.live_indices().collect();
@@ -318,7 +293,6 @@ mod tests {
                 &c.tiles[0].soa,
                 &iter,
                 &soa_addr,
-                staging,
                 if hand_tuned {
                     PrepStyle::VpuIntrinsics
                 } else {
@@ -333,7 +307,6 @@ mod tests {
                 geom: &geom,
                 tile,
                 order: ShapeOrder::Cic,
-                staging_addr: staging,
                 batched: false,
                 simd: false,
             };

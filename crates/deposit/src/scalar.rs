@@ -206,32 +206,7 @@ fn deposit_tile_batched(
             // Accumulate the run into the block in particle order; the
             // block is stack/L1-resident, so only arithmetic and issue
             // costs are charged — the memory the batching saves.
-            if ctx.simd {
-                accumulate_run_simd(m, st, s, nodes, run.start, run.end, &mut block);
-            } else {
-                let mut p0 = run.start;
-                while p0 < run.end {
-                    let lanes = (run.end - p0).min(VLANES);
-                    m.v_issue(3 * s + 3); // Staged re-loads (cache-blocked).
-                    for c in 0..s {
-                        for b in 0..s {
-                            for a in 0..s {
-                                let nd = (c * s + b) * s + a;
-                                m.v_ops(2); // Tensor shape product per chunk.
-                                m.v_ops(3); // Effective-current multiplies.
-                                m.v_issue(3); // Block accumulates (L1-resident).
-                                for p in p0..p0 + lanes {
-                                    let w = st.s(0, a, p) * st.s(1, b, p) * st.s(2, c, p);
-                                    for comp in 0..3 {
-                                        block[comp][nd] += w * st.wq[comp][p];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    p0 += lanes;
-                }
-            }
+            accumulate_run_lanes(m, st, s, nodes, run.start, run.end, &mut block);
             // Apply the block to the accumulator once per run: the only
             // scattered grid traffic left, priced per distinct node with
             // no intra-vector conflicts (each node appears once).
@@ -256,14 +231,13 @@ fn deposit_tile_batched(
 }
 
 /// Lane-parallel accumulation of one same-cell run into the stencil
-/// block ([`TileCtx::simd`]). Values are computed particle-outer with
-/// node-chunked [`Lanes`] arithmetic: for every (component, node) pair
-/// the adds still land in ascending particle order and the shape
-/// product keeps the scalar path's `(sx*sy)*sz` association, so the
-/// finished block is bit-identical to the scalar accumulation. The
-/// charge stream mirrors the scalar chunk loop call for call, so every
-/// Compute-phase counter is bitwise unchanged by the mode.
-fn accumulate_run_simd(
+/// block. Values are computed particle-outer with node-chunked [`Lanes`]
+/// arithmetic: for every (component, node) pair the adds land in
+/// ascending particle order and the shape product keeps the
+/// per-particle kernel's `(sx*sy)*sz` association. The charge stream is
+/// that of an 8-particle chunk loop over the stencil nodes, so the
+/// Compute-phase counters do not depend on the pricing mode.
+fn accumulate_run_lanes(
     m: &mut Machine,
     st: &Staging,
     s: usize,
@@ -283,7 +257,7 @@ fn accumulate_run_simd(
         }
         for p in p0..p0 + lanes {
             // The s*s x-y products once per particle; folding sz in per
-            // node keeps the (sx*sy)*sz association of the scalar loop.
+            // node keeps the (sx*sy)*sz association of the per-particle loop.
             let mut sxy = [0.0; MAX_SUPPORT * MAX_SUPPORT];
             for b in 0..s {
                 for a in 0..s {

@@ -6,12 +6,27 @@
 //! that the MPU mapping is *algebraically equivalent* to the canonical
 //! scatter-add, just reorganised for outer-product hardware.
 
-use mpic_deposit::{reference_deposit, KernelConfig, ShapeOrder};
+use mpic_deposit::{reference_deposit, Depositor, KernelConfig, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry, TileLayout};
-use mpic_machine::{Machine, MachineConfig};
+use mpic_machine::{Machine, MachineConfig, SchedulerPolicy, WorkerPool};
 use mpic_particles::{Departure, ParticleContainer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One sort + deposit pass on a single-worker pool.
+fn sort_and_deposit(
+    dep: &mut Depositor,
+    m: &mut Machine,
+    geom: &GridGeometry,
+    layout: &TileLayout,
+    container: &mut ParticleContainer,
+    fields: &mut FieldArrays,
+) {
+    let pool = WorkerPool::sequential();
+    let exec = || pool.exec(SchedulerPolicy::Static);
+    dep.sort_step_parallel(m, geom, layout, container, false, exec());
+    dep.deposit_step_parallel(m, geom, layout, container, fields, exec());
+}
 
 /// Builds a randomized particle population across the whole domain.
 fn random_container(
@@ -60,8 +75,14 @@ fn check_config(cfg: KernelConfig, order: ShapeOrder, n_particles: usize) {
     let mut fields = FieldArrays::new(&geom);
     let mut dep = cfg.build(order);
     dep.prepare(&mut m, &geom, &layout, &mut container);
-    dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-    dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+    sort_and_deposit(
+        &mut dep,
+        &mut m,
+        &geom,
+        &layout,
+        &mut container,
+        &mut fields,
+    );
 
     for (name, got, want) in [
         ("jx", &fields.jx, &rjx),
@@ -111,8 +132,14 @@ fn run_both_paths(
         dep.set_batching(batching);
         assert_eq!(dep.batching(), batching);
         dep.prepare(&mut m, &geom, &layout, &mut container);
-        dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-        dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+        sort_and_deposit(
+            &mut dep,
+            &mut m,
+            &geom,
+            &layout,
+            &mut container,
+            &mut fields,
+        );
         for (name, got, want) in [
             ("jx", &fields.jx, &reference.0),
             ("jy", &fields.jy, &reference.1),
@@ -324,8 +351,14 @@ fn fullopt_dense_single_cell_odd_count() {
     let mut fields = FieldArrays::new(&geom);
     let mut dep = KernelConfig::FullOpt.build(ShapeOrder::Cic);
     dep.prepare(&mut m, &geom, &layout, &mut container);
-    dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-    dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+    sort_and_deposit(
+        &mut dep,
+        &mut m,
+        &geom,
+        &layout,
+        &mut container,
+        &mut fields,
+    );
     assert!(max_rel_err(&fields.jx, &rjx) < 1e-12);
 }
 
@@ -341,6 +374,7 @@ fn fullopt_stays_correct_across_moving_steps() {
     let mut dep = KernelConfig::FullOpt.build(ShapeOrder::Cic);
     dep.prepare(&mut m, &geom, &layout, &mut container);
 
+    let pool = WorkerPool::sequential();
     let mut rng = StdRng::seed_from_u64(5);
     for step in 0..5 {
         // Scramble positions (bounded displacement, periodic wrap).
@@ -357,9 +391,23 @@ fn fullopt_stays_correct_across_moving_steps() {
                 tile.soa.z[p] = pos[2];
             }
         }
-        dep.sort_step(&mut m, &geom, &layout, &mut container, step % 3 == 2);
+        dep.sort_step_parallel(
+            &mut m,
+            &geom,
+            &layout,
+            &mut container,
+            step % 3 == 2,
+            pool.exec(SchedulerPolicy::Static),
+        );
         container.check_invariants();
-        dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+        dep.deposit_step_parallel(
+            &mut m,
+            &geom,
+            &layout,
+            &container,
+            &mut fields,
+            pool.exec(SchedulerPolicy::Static),
+        );
         let (rjx, rjy, rjz) = reference_deposit(&geom, ShapeOrder::Cic, &container);
         assert!(max_rel_err(&fields.jx, &rjx) < 1e-12, "step {step} jx");
         assert!(max_rel_err(&fields.jy, &rjy) < 1e-12, "step {step} jy");
@@ -384,8 +432,14 @@ fn sorting_reduces_baseline_compute_cycles() {
         let mut fields = FieldArrays::new(&geom);
         let mut dep = cfg.build(ShapeOrder::Cic);
         dep.prepare(&mut m, &geom, &layout, &mut container);
-        dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-        dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+        sort_and_deposit(
+            &mut dep,
+            &mut m,
+            &geom,
+            &layout,
+            &mut container,
+            &mut fields,
+        );
         cycles.push(m.counters().cycles(mpic_machine::Phase::Compute));
     }
     assert!(

@@ -20,6 +20,34 @@ pub struct TileId(pub usize);
 /// Number of architecturally visible MPU tile registers.
 pub const NUM_TILES: usize = 4;
 
+/// How a memory access is priced: the kernel describes the access once
+/// and the caller's mode picks the memory model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Price {
+    /// Walk the cache simulator: each access hits or misses against the
+    /// machine's current L1/L2 state (the per-particle and batched-scalar
+    /// modes).
+    Walk,
+    /// The state-free streaming model of the lane-parallel (SIMD) mode:
+    /// every spanned line pays its share of sustained bandwidth, and no
+    /// cache state is read or written. Carries the byte span of the whole
+    /// operand array for the roofline crossover (0 = unknown, priced as a
+    /// DRAM stream).
+    Stream(u64),
+}
+
+impl Price {
+    /// [`Price::Stream`] with `footprint` when `stream` is set, otherwise
+    /// [`Price::Walk`].
+    pub fn stream_if(stream: bool, footprint: u64) -> Price {
+        if stream {
+            Price::Stream(footprint)
+        } else {
+            Price::Walk
+        }
+    }
+}
+
 /// The emulated core.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -346,30 +374,33 @@ impl Machine {
     }
 
     /// Contiguous vector load of up to [`VLANES`] values from `src`,
-    /// zero-padding the tail.
-    pub fn v_load(&mut self, addr: VAddr, src: &[f64]) -> VReg {
+    /// zero-padding the tail, priced per `price`.
+    pub fn v_load(&mut self, addr: VAddr, src: &[f64], price: Price) -> VReg {
         let n = src.len().min(VLANES);
-        let cy = self.mem.access(addr, (n * 8) as u64);
+        let cy = self.contiguous_cost(addr, (n * 8) as u64, price);
         self.ctr.add_cycles(self.phase, cy);
         self.ctr.vector_ops += 1;
         VReg::from_slice(&src[..n])
     }
 
-    /// Contiguous vector store of the first `n` lanes into `dst`.
+    /// Contiguous vector store of the first `n` lanes into `dst`, priced
+    /// per `price`. Under [`Price::Stream`], write-combining buffers
+    /// retire back-to-back wide stores at stream bandwidth, so stores get
+    /// the same overlap discount as read streams.
     ///
     /// # Panics
     ///
     /// Panics if `n > VLANES` or `dst.len() < n`.
-    pub fn v_store(&mut self, addr: VAddr, reg: VReg, dst: &mut [f64], n: usize) {
+    pub fn v_store(&mut self, addr: VAddr, reg: VReg, dst: &mut [f64], n: usize, price: Price) {
         assert!(n <= VLANES);
-        let cy = self.mem.access(addr, (n * 8) as u64);
+        let cy = self.contiguous_cost(addr, (n * 8) as u64, price);
         self.ctr.add_cycles(self.phase, cy);
         self.ctr.vector_ops += 1;
         dst[..n].copy_from_slice(&reg.0[..n]);
     }
 
     // ------------------------------------------------------------------
-    // State-free streaming prices (the `SimConfig::simd` hot paths)
+    // State-free streaming prices (`Price::Stream`, the SIMD hot paths)
     // ------------------------------------------------------------------
     //
     // The lane-parallel mode prices its memory traffic as *streams*, not
@@ -413,82 +444,22 @@ impl Machine {
         }
     }
 
-    /// Contiguous vector load at the state-free streaming price
-    /// (functional twin of [`Machine::v_load`] for the SIMD hot paths).
-    /// `footprint` is the byte span of the whole source array for the
-    /// roofline crossover ([`Machine::stream_line_price`]); pass 0 when
-    /// unknown.
-    pub fn v_load_streamed(&mut self, addr: VAddr, src: &[f64], footprint: u64) -> VReg {
-        let n = src.len().min(VLANES);
-        let cy = Self::GATHER_MLP
-            * self.stream_line_price(footprint)
-            * self.lines_spanned(addr, (n * 8) as u64) as f64;
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
-        VReg::from_slice(&src[..n])
+    /// Streaming read price of `lines` cache lines from an operand of
+    /// byte span `footprint`: each line at the crossover line price,
+    /// overlapped by [`Self::GATHER_MLP`].
+    fn stream_cost(&self, footprint: u64, lines: u64) -> f64 {
+        Self::GATHER_MLP * self.stream_line_price(footprint) * lines as f64
     }
 
-    /// Contiguous vector store at the state-free streaming price
-    /// (functional twin of [`Machine::v_store`]): write-combining
-    /// buffers retire back-to-back wide stores at stream bandwidth, so
-    /// stores get the same overlap discount as read streams. `footprint`
-    /// is the destination array's byte span for the roofline crossover;
-    /// pass 0 when unknown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > VLANES` or `dst.len() < n`.
-    pub fn v_store_streamed(
-        &mut self,
-        addr: VAddr,
-        reg: VReg,
-        dst: &mut [f64],
-        n: usize,
-        footprint: u64,
-    ) {
-        assert!(n <= VLANES);
-        let cy = Self::GATHER_MLP
-            * self.stream_line_price(footprint)
-            * self.lines_spanned(addr, (n * 8) as u64) as f64;
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
-        dst[..n].copy_from_slice(&reg.0[..n]);
-    }
-
-    /// Cost-only contiguous vector load at the state-free streaming
-    /// price (twin of [`Machine::v_touch_load`]). `footprint` as in
-    /// [`Machine::v_load_streamed`].
-    pub fn v_touch_load_streamed(&mut self, addr: VAddr, lanes: usize, footprint: u64) {
-        let cy = Self::GATHER_MLP
-            * self.stream_line_price(footprint)
-            * self.lines_spanned(addr, (lanes.min(VLANES) * 8) as u64) as f64;
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
-    }
-
-    /// Cost-only indexed gather at the state-free streaming price (twin
-    /// of [`Machine::v_touch_gather`]): per-lane issue cost plus each
-    /// distinct line at the overlapped stream price. `footprint` as in
-    /// [`Machine::v_load_streamed`].
-    pub fn v_touch_gather_streamed(&mut self, base: VAddr, idx: &[usize], footprint: u64) {
-        self.ctr.vector_ops += 1;
-        let take = idx.len().min(VLANES);
-        let shift = self.mem.line_shift();
-        let mut lines = [0u64; VLANES];
-        let mut n = 0usize;
-        'lanes: for &i in &idx[..take] {
-            let l = base.offset_f64(i).0 >> shift;
-            for &seen in &lines[..n] {
-                if seen == l {
-                    continue 'lanes;
-                }
+    /// Memory cost of a contiguous access of `bytes` at `addr`: a cache
+    /// walk, or the streaming price of every spanned line.
+    fn contiguous_cost(&mut self, addr: VAddr, bytes: u64, price: Price) -> f64 {
+        match price {
+            Price::Walk => self.mem.access(addr, bytes),
+            Price::Stream(footprint) => {
+                self.stream_cost(footprint, self.lines_spanned(addr, bytes))
             }
-            lines[n] = l;
-            n += 1;
         }
-        let cy = self.cfg.gather_lane_cy * take as f64
-            + Self::GATHER_MLP * self.stream_line_price(footprint) * n as f64;
-        self.ctr.add_cycles(self.phase, cy);
     }
 
     /// Memory-level-parallelism factor of the gather unit: the per-line
@@ -497,17 +468,12 @@ impl Machine {
     /// get no such discount).
     const GATHER_MLP: f64 = 0.15;
 
-    /// Memory cost of a hardware gather: one cache access per *distinct
-    /// line* touched (the gather unit coalesces same-line lanes), with
-    /// miss latencies overlapped by [`Self::GATHER_MLP`], plus the
-    /// per-lane issue penalty.
-    fn gather_mem_cost(&mut self, base: VAddr, idx: &[usize]) -> f64 {
-        let line = self.mem.line_bytes();
+    /// Fills `lines` with the distinct cache-line ids of `base[idx]` in
+    /// first-touch order and returns their count. A gather touches at
+    /// most [`VLANES`] lines, so the dedup runs in a stack buffer (no
+    /// heap traffic on this very hot path).
+    fn distinct_lines(&self, base: VAddr, idx: &[usize], lines: &mut [u64; VLANES]) -> usize {
         let shift = self.mem.line_shift();
-        // A gather touches at most VLANES distinct lines: dedup into a
-        // stack buffer (no heap traffic on this very hot path), then
-        // visit lines in ascending order as the coalescing unit would.
-        let mut lines = [0u64; VLANES];
         let mut n = 0usize;
         'lanes: for &i in idx {
             let l = base.offset_f64(i).0 >> shift;
@@ -519,6 +485,18 @@ impl Machine {
             lines[n] = l;
             n += 1;
         }
+        n
+    }
+
+    /// Memory cost of a hardware gather: one cache access per *distinct
+    /// line* touched (the gather unit coalesces same-line lanes), with
+    /// miss latencies overlapped by [`Self::GATHER_MLP`], plus the
+    /// per-lane issue penalty.
+    fn gather_mem_cost(&mut self, base: VAddr, idx: &[usize]) -> f64 {
+        let line = self.mem.line_bytes();
+        let mut lines = [0u64; VLANES];
+        let n = self.distinct_lines(base, idx, &mut lines);
+        // Visit lines in ascending order, as the coalescing unit would.
         lines[..n].sort_unstable();
         let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
         for &l in &lines[..n] {
@@ -593,26 +571,27 @@ impl Machine {
     /// returning data. Used when a kernel's functional values are already
     /// staged but the address stream must still be priced (e.g. replaying
     /// the load pattern of a preprocessing loop).
-    pub fn v_touch_load(&mut self, addr: VAddr, lanes: usize) {
-        let cy = self.mem.access(addr, (lanes.min(VLANES) * 8) as u64);
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
-    }
-
-    /// Charges a contiguous vector store (cost-only mirror of
-    /// [`Machine::v_store`]).
-    pub fn v_touch_store(&mut self, addr: VAddr, lanes: usize) {
-        let cy = self.mem.access(addr, (lanes.min(VLANES) * 8) as u64);
+    pub fn v_touch_load(&mut self, addr: VAddr, lanes: usize, price: Price) {
+        let cy = self.contiguous_cost(addr, (lanes.min(VLANES) * 8) as u64, price);
         self.ctr.add_cycles(self.phase, cy);
         self.ctr.vector_ops += 1;
     }
 
     /// Charges an indexed gather's memory and issue cost (cost-only
-    /// mirror of [`Machine::v_gather`]).
-    pub fn v_touch_gather(&mut self, base: VAddr, idx: &[usize]) {
+    /// mirror of [`Machine::v_gather`]). Under [`Price::Stream`] each
+    /// distinct line pays the overlapped stream price instead of a
+    /// cache walk.
+    pub fn v_touch_gather(&mut self, base: VAddr, idx: &[usize], price: Price) {
         self.ctr.vector_ops += 1;
         let take = idx.len().min(VLANES);
-        let cy = self.gather_mem_cost(base, &idx[..take]);
+        let cy = match price {
+            Price::Walk => self.gather_mem_cost(base, &idx[..take]),
+            Price::Stream(footprint) => {
+                let mut lines = [0u64; VLANES];
+                let n = self.distinct_lines(base, &idx[..take], &mut lines);
+                self.cfg.gather_lane_cy * take as f64 + self.stream_cost(footprint, n as u64)
+            }
+        };
         self.ctr.add_cycles(self.phase, cy);
     }
 
@@ -660,10 +639,12 @@ impl Machine {
     }
 
     /// Reuse-aware run-scoped gather touch — the SIMD hot path's pricing
-    /// of consecutive same-tile runs. Like
-    /// [`Machine::v_touch_gather_block`] it charges per distinct cache
-    /// line of the block, with two differences that together are what
-    /// the lane-parallel mode buys:
+    /// of consecutive same-tile runs, over one or more arrays (`bases`,
+    /// e.g. the run gather's six field components) sharing one node
+    /// list. For each array it charges like
+    /// [`Machine::v_touch_gather_block`], per distinct cache line of the
+    /// block, with two differences that together are what the
+    /// lane-parallel mode buys:
     ///
     /// * lines already covered by `prev_idx` (the preceding run's
     ///   stencil block, which the kernel keeps resident in lane
@@ -677,12 +658,20 @@ impl Machine {
     ///   block loads of consecutive runs form a dense ascending sweep of
     ///   the tile's field arrays, exactly the access shape the stream
     ///   prefetcher services at bandwidth. `footprint` declares one
-    ///   field array's byte span so L1-resident grids cross over to the
+    ///   array's byte span so L1-resident grids cross over to the
     ///   resident line price (0 = unknown, DRAM stream). The charge is a
-    ///   pure function of `(base, idx, prev_idx, footprint)`.
+    ///   pure function of `(bases, idx, prev_idx, footprint)`.
     ///
     /// Per-lane gather issue cost is still paid for every element of
     /// `idx` — address generation does not amortise.
+    ///
+    /// When every base is congruent modulo the line size (the allocator
+    /// returns line-aligned arrays, so this is the ubiquitous case), each
+    /// array's line set is the first array's shifted by a whole number of
+    /// lines, so the per-array charge is computed once and replayed for
+    /// each base. Incongruent bases take the exact per-array walk. The
+    /// counters are bit-identical to one single-base call per array
+    /// either way.
     ///
     /// # Panics
     ///
@@ -690,7 +679,7 @@ impl Machine {
     /// [`Machine::RUN_BLOCK_MAX`].
     pub fn v_touch_gather_block_reuse(
         &mut self,
-        base: VAddr,
+        bases: &[VAddr],
         idx: &[usize],
         prev_idx: &[usize],
         footprint: u64,
@@ -702,16 +691,41 @@ impl Machine {
         if idx.is_empty() {
             return;
         }
-        self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
+        let line = self.mem.line_bytes();
+        let congruent = bases.iter().all(|b| b.0 % line == bases[0].0 % line);
+        let new_line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
+        let mut shared = None;
+        for &base in bases {
+            let cy = match shared {
+                Some(cy) if congruent => cy,
+                _ => {
+                    // One add per new line, as the merge walk finds them
+                    // (a multiply-by-count could round differently).
+                    let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
+                    for _ in 0..self.new_lines(base, idx, prev_idx) {
+                        cy += new_line_cy;
+                    }
+                    cy
+                }
+            };
+            shared = Some(cy);
+            self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
+            self.ctr.add_cycles(self.phase, cy);
+        }
+    }
+
+    /// Number of distinct cache lines of `base[idx]` not already covered
+    /// by `base[prev_idx]` — the lines a reuse-aware block touch must
+    /// fetch, found by one ascending merge walk of the two line sets.
+    fn new_lines(&self, base: VAddr, idx: &[usize], prev_idx: &[usize]) -> usize {
         let shift = self.mem.line_shift();
         let mut cur = [0u64; Self::RUN_BLOCK_MAX];
         let cur_n = Self::collect_lines(&mut cur, base, idx, shift);
         let mut prev = [0u64; Self::RUN_BLOCK_MAX];
         let prev_n = Self::collect_lines(&mut prev, base, prev_idx, shift);
-        let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        let new_line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
         let mut p = 0usize;
         let mut last = u64::MAX;
+        let mut new = 0usize;
         for &l in &cur[..cur_n] {
             if l == last {
                 continue;
@@ -721,78 +735,11 @@ impl Machine {
                 p += 1;
             }
             if p < prev_n && prev[p] == l {
-                continue; // Register-resident from the previous run.
+                continue; // Covered by the previous block.
             }
-            cy += new_line_cy;
+            new += 1;
         }
-        self.ctr.add_cycles(self.phase, cy);
-    }
-
-    /// [`Machine::v_touch_gather_block_reuse`] over several equally
-    /// line-aligned arrays sharing one node list — the SIMD run gather's
-    /// six field components. When every base is congruent modulo the
-    /// line size (the allocator returns line-aligned arrays, so this is
-    /// the ubiquitous case), each array's line set is the first array's
-    /// shifted by a whole number of lines: the dedup/merge result is
-    /// identical, so it is computed once and the per-array charge —
-    /// bitwise the same accumulation the per-array calls would make — is
-    /// replayed for each base. Incongruent bases fall back to the exact
-    /// per-array walk. Host-side fast path only; counters and cycles are
-    /// bit-identical to six separate calls either way.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Machine::v_touch_gather_block_reuse`].
-    pub fn v_touch_gather_block_reuse_multi(
-        &mut self,
-        bases: &[VAddr],
-        idx: &[usize],
-        prev_idx: &[usize],
-        footprint: u64,
-    ) {
-        assert!(
-            idx.len() <= Self::RUN_BLOCK_MAX && prev_idx.len() <= Self::RUN_BLOCK_MAX,
-            "block exceeds RUN_BLOCK_MAX"
-        );
-        if idx.is_empty() || bases.is_empty() {
-            return;
-        }
-        let line = self.mem.line_bytes();
-        if !bases.iter().all(|b| b.0 % line == bases[0].0 % line) {
-            for &b in bases {
-                self.v_touch_gather_block_reuse(b, idx, prev_idx, footprint);
-            }
-            return;
-        }
-        let shift = self.mem.line_shift();
-        let mut cur = [0u64; Self::RUN_BLOCK_MAX];
-        let cur_n = Self::collect_lines(&mut cur, bases[0], idx, shift);
-        let mut prev = [0u64; Self::RUN_BLOCK_MAX];
-        let prev_n = Self::collect_lines(&mut prev, bases[0], prev_idx, shift);
-        // The same merge walk as the single-array call, accumulating the
-        // identical `cy` one new line at a time (a multiply-by-count
-        // could round differently).
-        let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        let new_line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
-        let mut p = 0usize;
-        let mut last = u64::MAX;
-        for &l in &cur[..cur_n] {
-            if l == last {
-                continue;
-            }
-            last = l;
-            while p < prev_n && prev[p] < l {
-                p += 1;
-            }
-            if p < prev_n && prev[p] == l {
-                continue; // Register-resident from the previous run.
-            }
-            cy += new_line_cy;
-        }
-        for _ in bases {
-            self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
-            self.ctr.add_cycles(self.phase, cy);
-        }
+        new
     }
 
     /// Fills `buf` with the (sorted, possibly duplicated) cache-line ids
@@ -842,6 +789,16 @@ impl Machine {
     ///   traffic gets no overlap discount, but a line shared by several
     ///   stencil nodes is touched once instead of once per node.
     ///
+    /// The SIMD reduction sweeps a tile's cells in order, and consecutive
+    /// cells' stencils overlap — destination cache lines already folded
+    /// by the preceding cell (`prev_idx`, its node list) still sit in the
+    /// store buffer, so the lane-parallel kernel merges into them without
+    /// a fresh read-modify-write transaction. Those lines charge nothing;
+    /// an empty `prev_idx` prices a fold with no carried lines. Callers
+    /// must only pass `prev_idx` when the preceding fold covered the same
+    /// components; the contiguous per-cell source streams never reuse
+    /// (each cell owns its slice).
+    ///
     /// Like every SIMD-mode price, the charge is a pure function of the
     /// call's inputs: no cache-simulator state is read or written.
     ///
@@ -849,36 +806,14 @@ impl Machine {
     /// with its scattered destination base; passing fewer than three
     /// pairs prices a partial-component fold. `idx` holds the
     /// destination offsets shared by every component. Empty `idx` is
-    /// free.
+    /// free. `src_footprint`/`dst_footprint` declare the byte spans of
+    /// one source array and one destination array for the roofline
+    /// crossover ([`Machine::stream_line_price`]); pass 0 when unknown.
     ///
     /// # Panics
     ///
     /// Panics if `srcs.len() != dsts.len()`, if no components are given,
-    /// or if `idx.len() > RUN_BLOCK_MAX`.
-    pub fn v_touch_reduce_block(&mut self, srcs: &[VAddr], dsts: &[VAddr], idx: &[usize]) {
-        self.v_touch_reduce_block_reuse(srcs, dsts, idx, &[], 0, 0);
-    }
-
-    /// Reuse-aware variant of [`Machine::v_touch_reduce_block`]: the SIMD
-    /// reduction sweeps a tile's cells in order, and consecutive cells'
-    /// stencils overlap — destination cache lines already folded by the
-    /// preceding cell (`prev_idx`, its node list) still sit in the store
-    /// buffer, so the lane-parallel kernel merges into them without a
-    /// fresh read-modify-write transaction. Those lines charge nothing;
-    /// every other line is priced by the state-free streaming model (an
-    /// empty `prev_idx` is bitwise identical to the plain fused reduce).
-    /// Callers must only pass `prev_idx` when the preceding fold covered
-    /// the same components; the contiguous per-cell source streams never
-    /// reuse (each cell owns its slice).
-    ///
-    /// `src_footprint`/`dst_footprint` declare the byte spans of one
-    /// source array and one destination array for the roofline crossover
-    /// ([`Machine::stream_line_price`]); pass 0 when unknown.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Machine::v_touch_reduce_block`], plus
-    /// `prev_idx.len() <= RUN_BLOCK_MAX`.
+    /// or if `idx.len()` or `prev_idx.len()` exceeds `RUN_BLOCK_MAX`.
     pub fn v_touch_reduce_block_reuse(
         &mut self,
         srcs: &[VAddr],
@@ -924,7 +859,6 @@ impl Machine {
         // gets no read-overlap discount — unless the preceding cell's
         // fold left the line in the store buffer.
         let line = self.mem.line_bytes();
-        let shift = self.mem.line_shift();
         let dst_line_cy = self.stream_line_price(dst_footprint);
         // Component arrays are line-aligned allocations, so their line
         // sets differ by whole lines and every component sees the same
@@ -933,34 +867,13 @@ impl Machine {
         // — a multiply could round differently). Incongruent bases take
         // the exact per-component walk.
         let congruent = dsts.iter().all(|d| d.0 % line == dsts[0].0 % line);
-        let mut shared_new = 0usize;
-        for (k, &dst) in dsts.iter().enumerate() {
-            let new = if congruent && k > 0 {
-                shared_new
-            } else {
-                let mut lines = [0u64; Self::RUN_BLOCK_MAX];
-                let n = Self::collect_lines(&mut lines, dst, idx, shift);
-                let mut prev_lines = [0u64; Self::RUN_BLOCK_MAX];
-                let prev_n = Self::collect_lines(&mut prev_lines, dst, prev_idx, shift);
-                let mut p = 0usize;
-                let mut last = u64::MAX;
-                let mut new = 0usize;
-                for &l in &lines[..n] {
-                    if l == last {
-                        continue;
-                    }
-                    last = l;
-                    while p < prev_n && prev_lines[p] < l {
-                        p += 1;
-                    }
-                    if p < prev_n && prev_lines[p] == l {
-                        continue; // Store-buffer resident from the last fold.
-                    }
-                    new += 1;
-                }
-                shared_new = new;
-                new
+        let mut shared_new = None;
+        for &dst in dsts {
+            let new = match shared_new {
+                Some(new) if congruent => new,
+                _ => self.new_lines(dst, idx, prev_idx),
             };
+            shared_new = Some(new);
             for _ in 0..new {
                 cy += dst_line_cy;
             }
@@ -1171,9 +1084,9 @@ mod tests {
         let base = m.mem().alloc_f64(8);
         let src = vec![1.0; 8];
         m.set_phase(Phase::Compute);
-        m.v_load(base, &src);
+        m.v_load(base, &src, Price::Walk);
         let cold = m.counters().cycles(Phase::Compute);
-        m.v_load(base, &src);
+        m.v_load(base, &src, Price::Walk);
         let warm = m.counters().cycles(Phase::Compute) - cold;
         assert!(warm < cold, "second load must hit cache");
     }
@@ -1252,7 +1165,7 @@ mod tests {
         let b1 = vec.mem().alloc_f64(1024);
         let b2 = block.mem().alloc_f64(1024);
         let idx = [0usize, 1, 9, 64, 65, 200, 201, 3];
-        vec.v_touch_gather(b1, &idx);
+        vec.v_touch_gather(b1, &idx, Price::Walk);
         block.v_touch_gather_block(b2, &idx);
         assert_eq!(
             vec.counters().total_cycles().to_bits(),
@@ -1309,7 +1222,7 @@ mod tests {
         let mut m = machine();
         let src = m.mem().alloc_f64(64);
         let dst = m.mem().alloc_f64(64);
-        m.v_touch_reduce_block(&[src], &[dst], &[]);
+        m.v_touch_reduce_block_reuse(&[src], &[dst], &[], &[], 0, 0);
         assert_eq!(m.counters().total_cycles(), 0.0);
         assert_eq!(m.counters().vector_ops, 0);
     }
@@ -1321,7 +1234,7 @@ mod tests {
         let src = m.mem().alloc_f64(128);
         let dst = m.mem().alloc_f64(128);
         let idx = vec![0usize; Machine::RUN_BLOCK_MAX + 1];
-        m.v_touch_reduce_block(&[src], &[dst], &idx);
+        m.v_touch_reduce_block_reuse(&[src], &[dst], &idx, &[], 0, 0);
     }
 
     #[test]
@@ -1330,7 +1243,7 @@ mod tests {
         let mut m = machine();
         let src = m.mem().alloc_f64(8);
         let dst = m.mem().alloc_f64(8);
-        m.v_touch_reduce_block(&[src, src], &[dst], &[0, 1]);
+        m.v_touch_reduce_block_reuse(&[src, src], &[dst], &[0, 1], &[], 0, 0);
     }
 
     #[test]
@@ -1341,7 +1254,7 @@ mod tests {
         let dsts: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(4096)).collect();
         let idx: Vec<usize> = (0..12).collect();
         m.set_phase(Phase::Reduce);
-        m.v_touch_reduce_block(&srcs, &dsts, &idx);
+        m.v_touch_reduce_block_reuse(&srcs, &dsts, &idx, &[], 0, 0);
         assert_eq!(m.counters().flops_issued, 36.0);
         assert_eq!(m.counters().vector_ops, 3 * 2);
         assert!(m.counters().cycles(Phase::Reduce) > 0.0);
@@ -1364,12 +1277,12 @@ mod tests {
         let idx: Vec<usize> = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123].to_vec();
         fused.set_phase(Phase::Reduce);
         swept.set_phase(Phase::Reduce);
-        fused.v_touch_reduce_block(&fsrcs, &fdsts, &idx);
+        fused.v_touch_reduce_block_reuse(&fsrcs, &fdsts, &idx, &[], 0, 0);
         for comp in 0..3 {
             let mut node = 0;
             while node < idx.len() {
                 let n = (idx.len() - node).min(VLANES);
-                swept.v_touch_load(ssrcs[comp].offset_f64(node), n);
+                swept.v_touch_load(ssrcs[comp].offset_f64(node), n, Price::Walk);
                 swept.v_touch_scatter_add(sdsts[comp], &idx[node..node + n]);
                 node += n;
             }
@@ -1402,8 +1315,8 @@ mod tests {
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123, 5, 6];
         cold.set_phase(Phase::Gather);
         warm.set_phase(Phase::Gather);
-        cold.v_touch_gather_block_reuse(cb, &idx, &[], 0);
-        warm.v_touch_gather_block_reuse(wb, &idx, &[], 0);
+        cold.v_touch_gather_block_reuse(&[cb], &idx, &[], 0);
+        warm.v_touch_gather_block_reuse(&[wb], &idx, &[], 0);
         let csrc = cold.mem().alloc_f64(16);
         let wsrc = warm.mem().alloc_f64(16);
         cold.set_phase(Phase::Reduce);
@@ -1426,7 +1339,7 @@ mod tests {
         plain.v_touch_gather_block(pb, &idx);
         let psrc = plain.mem().alloc_f64(16);
         plain.set_phase(Phase::Reduce);
-        plain.v_touch_reduce_block(&[psrc], &[pb], &idx);
+        plain.v_touch_reduce_block_reuse(&[psrc], &[pb], &idx, &[], 0, 0);
         assert_eq!(
             plain.counters().cycles(Phase::Reduce).to_bits(),
             cold.counters().cycles(Phase::Reduce).to_bits()
@@ -1441,6 +1354,61 @@ mod tests {
     }
 
     #[test]
+    fn conf_gather_block_reuse_over_bases_matches_per_array_calls() {
+        // One call over several arrays must charge bit-identically to one
+        // single-base call per array, both for congruent bases (the
+        // shared-walk shortcut) and for bases at different offsets within
+        // a line (the per-array walk).
+        let cfg = MachineConfig::lx2();
+        let cases: [(&[usize], &[usize]); 4] = [
+            (&[0, 1, 33, 34, 1089, 1090, 1122, 1123], &[]),
+            (&[0, 1, 33, 34, 1089, 1090, 1122, 1123], &[1, 2, 34, 35]),
+            // A stencil straddling a periodic wrap arrives unsorted.
+            (&[7, 0, 40, 33, 1096, 1089, 1129, 1122], &[0, 1, 33, 34]),
+            (&[5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], &[5, 6, 7]),
+        ];
+        let layouts: [(&str, [usize; 6]); 2] =
+            [("congruent", [0; 6]), ("incongruent", [0, 1, 3, 5, 6, 7])];
+        for (name, skew) in layouts {
+            for footprint in [0u64, 4096 * 8] {
+                for &(idx, prev) in &cases {
+                    let mut merged = Machine::new(cfg.clone());
+                    let mut split = Machine::new(cfg.clone());
+                    let mb: Vec<VAddr> = skew
+                        .iter()
+                        .map(|&k| merged.mem().alloc_f64(4096 + 8).offset_f64(k))
+                        .collect();
+                    let sb: Vec<VAddr> = skew
+                        .iter()
+                        .map(|&k| split.mem().alloc_f64(4096 + 8).offset_f64(k))
+                        .collect();
+                    merged.set_phase(Phase::Gather);
+                    split.set_phase(Phase::Gather);
+                    merged.v_touch_gather_block_reuse(&mb, idx, prev, footprint);
+                    for &b in &sb {
+                        split.v_touch_gather_block_reuse(&[b], idx, prev, footprint);
+                    }
+                    assert_eq!(
+                        merged.counters().cycles(Phase::Gather).to_bits(),
+                        split.counters().cycles(Phase::Gather).to_bits(),
+                        "{name} {idx:?}/{prev:?} footprint {footprint}: merged charge diverged"
+                    );
+                    assert_eq!(merged.counters().vector_ops, split.counters().vector_ops);
+                }
+            }
+        }
+        // The incongruent layout does reach the per-array walk: shifting
+        // a base within its line changes which lines the block spans.
+        let charge = |skew: usize| {
+            let mut m = Machine::new(cfg.clone());
+            let base = m.mem().alloc_f64(4096 + 8).offset_f64(skew);
+            m.v_touch_gather_block_reuse(&[base], &[0, 1, 2, 3, 4, 5, 6, 7], &[], 0);
+            m.counters().total_cycles()
+        };
+        assert!(charge(3) > charge(0), "a skewed block spans an extra line");
+    }
+
+    #[test]
     fn reuse_skips_lines_covered_by_previous_block() {
         // With the previous block covering every line, only the lane
         // issue penalty remains on the gather side; the reduce side
@@ -1452,7 +1420,7 @@ mod tests {
         let base = m.mem().alloc_f64(4096);
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
         m.set_phase(Phase::Gather);
-        m.v_touch_gather_block_reuse(base, &idx, &idx, 0);
+        m.v_touch_gather_block_reuse(&[base], &idx, &idx, 0);
         let full = m.counters().cycles(Phase::Gather);
         assert!(
             (full - lane * idx.len() as f64).abs() < 1e-12,
@@ -1462,7 +1430,7 @@ mod tests {
         let mut part = Machine::new(cfg.clone());
         let pb = part.mem().alloc_f64(4096);
         part.set_phase(Phase::Gather);
-        part.v_touch_gather_block_reuse(pb, &idx, &[0, 1, 33, 34], 0);
+        part.v_touch_gather_block_reuse(&[pb], &idx, &[0, 1, 33, 34], 0);
         let mut none = Machine::new(cfg);
         let nb = none.mem().alloc_f64(4096);
         none.set_phase(Phase::Gather);
@@ -1484,7 +1452,7 @@ mod tests {
         let rd: Vec<VAddr> = (0..3).map(|_| reused.mem().alloc_f64(65536)).collect();
         fresh.set_phase(Phase::Reduce);
         reused.set_phase(Phase::Reduce);
-        fresh.v_touch_reduce_block(&fs, &fd, &idx);
+        fresh.v_touch_reduce_block_reuse(&fs, &fd, &idx, &[], 0, 0);
         reused.v_touch_reduce_block_reuse(&rs, &rd, &idx, &idx, 0, 0);
         let f = fresh.counters().cycles(Phase::Reduce);
         let r = reused.counters().cycles(Phase::Reduce);
@@ -1514,20 +1482,20 @@ mod tests {
             let src = m.mem().alloc_f64(64);
             let mut out = [0.0; 4];
             m.set_phase(Phase::Gather);
-            m.v_touch_gather_block_reuse(base, &idx, &[], footprint);
+            m.v_touch_gather_block_reuse(&[base], &idx, &[], footprint);
             out[0] = m.counters().cycles(Phase::Gather);
             m.set_phase(Phase::Reduce);
             m.v_touch_reduce_block_reuse(&[src], &[base], &idx, &[], footprint, footprint);
             out[1] = m.counters().cycles(Phase::Reduce);
             m.set_phase(Phase::Preprocess);
-            m.v_touch_load_streamed(base, 8, footprint);
-            m.v_touch_gather_streamed(base, &idx, footprint);
+            m.v_touch_load(base, 8, Price::Stream(footprint));
+            m.v_touch_gather(base, &idx, Price::Stream(footprint));
             out[2] = m.counters().cycles(Phase::Preprocess);
             m.set_phase(Phase::Compute);
             let data = vec![1.5; 8];
             let mut dst = vec![0.0; 8];
-            let r = m.v_load_streamed(base, &data, footprint);
-            m.v_store_streamed(base, r, &mut dst, 8, footprint);
+            let r = m.v_load(base, &data, Price::Stream(footprint));
+            m.v_store(base, r, &mut dst, 8, Price::Stream(footprint));
             out[3] = m.counters().cycles(Phase::Compute);
             out
         };
@@ -1566,7 +1534,7 @@ mod tests {
         let mut streamed = Machine::new(cfg.clone());
         let sb = streamed.mem().alloc_f64(1728); // 12^3 guarded 8^3 grid
         streamed.set_phase(Phase::Gather);
-        streamed.v_touch_gather_block_reuse(sb, &idx, &[], 1728 * 8);
+        streamed.v_touch_gather_block_reuse(&[sb], &idx, &[], 1728 * 8);
         let mut walk = Machine::new(cfg);
         let wb = walk.mem().alloc_f64(1728);
         walk.set_phase(Phase::Gather);

@@ -2,7 +2,7 @@
 
 use mpic_deposit::{stage_particle, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
-use mpic_machine::{vect::W, LaneMask, Lanes, Machine, Phase, VAddr};
+use mpic_machine::{vect::W, LaneMask, Lanes, Machine, Phase, Price, VAddr};
 
 /// Per-step cost parameters of the gather sweep (charged coarsely: the
 //  gather is not the paper's optimisation target, but its time must
@@ -220,49 +220,18 @@ pub fn gather_from_block(
 }
 
 /// Interpolates `(E, B)` for up to [`W`] particles at once from a cached
-/// [`NodeBlock`] — the lane-parallel half of the SIMD gather
-/// (`SimConfig::simd`). Each lane is one particle: the six accumulators
-/// are per lane, the node loop runs in the same `(c, b, a)` order as
-/// [`gather_from_block`], and each lane's weight keeps the
-/// `(sx * sy) * sz` association, so every particle's result is
-/// bit-identical to its own [`gather_from_block`] call (no cross-lane
-/// arithmetic exists to regroup). `fracs.len()` selects the active lane
-/// count; callers chunk runs into full-width packs and finish ragged
-/// tails with the scalar routine.
-///
-/// # Panics
-/// If `fracs` is wider than a lane pack or the output slices are
-/// shorter than `fracs`.
-pub fn gather_from_block_lanes(
-    order: ShapeOrder,
-    block: &NodeBlock,
-    fracs: &[[f64; 3]],
-    e_out: &mut [[f64; 3]],
-    b_out: &mut [[f64; 3]],
-) {
-    let n = fracs.len();
-    assert!(
-        e_out.len() >= n && b_out.len() >= n,
-        "output slices shorter than the lane pack"
-    );
-    let (e, b) = gather_from_block_lanes_masked(order, block, fracs);
-    for l in 0..n {
-        for d in 0..3 {
-            e_out[l][d] = e[d].lane(l);
-            b_out[l][d] = b[d].lane(l);
-        }
-    }
-}
-
-/// Masked core of the lane gather: interpolates `(E, B)` for
-/// `fracs.len()` particles (at most [`W`]) and returns the results still
+/// [`NodeBlock`] — the lane-parallel gather of the batched push. Each
+/// lane is one particle: the six accumulators are per lane, the node
+/// loop runs in the same `(c, b, a)` order as [`gather_from_block`], and
+/// each lane's weight keeps the `(sx * sy) * sz` association, so every
+/// particle's result is bit-identical to its own [`gather_from_block`]
+/// call (no cross-lane arithmetic exists to regroup). The results stay
 /// in lane-register layout (`[Lanes; 3]` per field, lane `l` = particle
 /// `l`) for the lane-parallel Boris push to consume directly — no
 /// transpose through memory. Ragged run tails stay on this path: the
 /// accumulation runs under a [`LaneMask::prefix`] mask, so inactive tail
-/// lanes hold exact zeros on return while every active lane is
-/// bit-identical to its own [`gather_from_block`] call (masking selects
-/// lanes; it never regroups arithmetic).
+/// lanes hold exact zeros on return (masking selects lanes; it never
+/// regroups arithmetic).
 ///
 /// # Panics
 /// If `fracs` is wider than a lane pack.
@@ -350,9 +319,7 @@ pub fn charge_gather_run_reuse(
     footprint: u64,
 ) {
     m.in_phase(Phase::Gather, |m| {
-        // One line-set walk shared by all six (line-aligned) field
-        // arrays; bit-identical to six per-array calls.
-        m.v_touch_gather_block_reuse_multi(field_addrs, node_idx, prev_idx, footprint);
+        m.v_touch_gather_block_reuse(field_addrs, node_idx, prev_idx, footprint);
         let chunks = n.div_ceil(8);
         m.v_ops(cost.v_ops_per_chunk * chunks);
         m.record_flops((n * node_idx.len() * 6 * 2) as f64);
@@ -386,7 +353,7 @@ pub fn charge_gather(
                     idx[l] = sample_idx[i.min(sample_idx.len() - 1)] + node;
                 }
                 for addr in field_addrs {
-                    m.v_touch_gather(*addr, &idx[..lanes]);
+                    m.v_touch_gather(*addr, &idx[..lanes], Price::Walk);
                 }
             }
             p += lanes;
@@ -511,19 +478,17 @@ mod tests {
                 })
                 .collect();
             for n in [1, W - 1, W] {
-                let mut e = vec![[0.0; 3]; n];
-                let mut b = vec![[0.0; 3]; n];
-                gather_from_block_lanes(order, &block, &fracs[..n], &mut e, &mut b);
+                let (e, b) = gather_from_block_lanes_masked(order, &block, &fracs[..n]);
                 for (l, frac) in fracs[..n].iter().enumerate() {
                     let (e_want, b_want) = gather_from_block(order, &block, *frac);
                     for d in 0..3 {
                         assert_eq!(
-                            e[l][d].to_bits(),
+                            e[d].lane(l).to_bits(),
                             e_want[d].to_bits(),
                             "{order:?} n={n} lane {l} E[{d}]"
                         );
                         assert_eq!(
-                            b[l][d].to_bits(),
+                            b[d].lane(l).to_bits(),
                             b_want[d].to_bits(),
                             "{order:?} n={n} lane {l} B[{d}]"
                         );
@@ -596,11 +561,9 @@ mod tests {
     fn lane_gather_rejects_oversized_packs() {
         let block = NodeBlock::new();
         let fracs = vec![[0.5; 3]; W + 1];
-        let mut e = vec![[0.0; 3]; W + 1];
-        let mut b = vec![[0.0; 3]; W + 1];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            gather_from_block_lanes(ShapeOrder::Cic, &block, &fracs, &mut e, &mut b);
-        }));
+        let r = std::panic::catch_unwind(|| {
+            gather_from_block_lanes_masked(ShapeOrder::Cic, &block, &fracs)
+        });
         assert!(r.is_err(), "packs wider than W lanes must be rejected");
     }
 

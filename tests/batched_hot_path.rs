@@ -451,9 +451,23 @@ fn conf_batched_deposit_survives_stealing_chunk_boundaries() {
         let mut dep = KernelConfig::FullOpt.build(ShapeOrder::Cic);
         dep.set_batching(true);
         dep.prepare(&mut m, &geom, &layout, &mut container);
-        dep.sort_step(&mut m, &geom, &layout, &mut container, false);
+        dep.sort_step_parallel(
+            &mut m,
+            &geom,
+            &layout,
+            &mut container,
+            false,
+            WorkerPool::sequential().exec(SchedulerPolicy::Static),
+        );
         match exec_chunk {
-            None => dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields),
+            None => dep.deposit_step_parallel(
+                &mut m,
+                &geom,
+                &layout,
+                &container,
+                &mut fields,
+                WorkerPool::sequential().exec(SchedulerPolicy::Static),
+            ),
             Some((workers, k)) => {
                 let pool = WorkerPool::new(workers);
                 let exec = pool.exec(SchedulerPolicy::Stealing).with_steal_chunk(k);

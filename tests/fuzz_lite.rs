@@ -17,9 +17,7 @@ use matrix_pic::particles::{
     cell_runs, counting_sort_keys, counting_sort_keys_sharded, Gpma, SortScratch,
     INVALID_PARTICLE_ID,
 };
-use matrix_pic::push::gather::{
-    gather_from_block, gather_from_block_lanes, gather_from_block_lanes_masked, NodeBlock,
-};
+use matrix_pic::push::gather::{gather_from_block, gather_from_block_lanes_masked, NodeBlock};
 use proptest::prelude::*;
 
 /// Case budget: `MPIC_FUZZ_ITERS` if set and parseable, else `default`.
@@ -200,13 +198,13 @@ fn fuzz_lane_remainder_gather_matches_scalar_bitwise() {
                 // then the scalar remainder.
                 let mut i = 0;
                 while i + W <= len {
-                    gather_from_block_lanes(
-                        order,
-                        &block,
-                        &fracs[i..i + W],
-                        &mut got_e[i..i + W],
-                        &mut got_b[i..i + W],
-                    );
+                    let (e, b) = gather_from_block_lanes_masked(order, &block, &fracs[i..i + W]);
+                    for l in 0..W {
+                        for d in 0..3 {
+                            got_e[i + l][d] = e[d].lane(l);
+                            got_b[i + l][d] = b[d].lane(l);
+                        }
+                    }
                     i += W;
                 }
                 for l in i..len {
