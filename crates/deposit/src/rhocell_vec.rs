@@ -178,11 +178,12 @@ fn deposit_tile_batched(
                 while node < nodes {
                     let w = (nodes - node).min(VLANES);
                     m.v_ops(1); // Fold sz into the chunk.
-                                // Lane-parallel block accumulate, per (comp, node) in
-                                // particle order. Ragged final chunks run masked
-                                // (QSP's 64 nodes split evenly, TSC's 27 leave a
-                                // 3-wide tail): inactive lanes never read or write
-                                // past `w`.
+
+                    // Lane-parallel block accumulate, per (comp, node) in
+                    // particle order. Ragged final chunks run masked
+                    // (QSP's 64 nodes split evenly, TSC's 27 leave a
+                    // 3-wide tail): inactive lanes never read or write
+                    // past `w`.
                     let mask = LaneMask::prefix(w);
                     let mut svals = [0.0; VLANES];
                     for (l, v) in svals.iter_mut().enumerate().take(w) {
