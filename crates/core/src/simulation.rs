@@ -8,8 +8,8 @@ use mpic_machine::{
     vect::W, CacheLevelState, CacheSimState, Lanes, Machine, PerfCounters, Phase, VAddr, WorkerPool,
 };
 use mpic_particles::{
-    Departure, Gpma, GpmaState, ParticleContainer, ParticleSoA, ParticleTile, PendingMove,
-    RankSortStats, INVALID_PARTICLE_ID,
+    Departure, GpmaState, ParticleContainer, ParticleSoA, ParticleTile, PendingMove, RankSortStats,
+    INVALID_PARTICLE_ID,
 };
 use mpic_push::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
 use mpic_push::gather::{
@@ -845,20 +845,13 @@ impl Simulation {
             }
             let was_rebuilt_this_step = s.get_bool()?;
             let rebuild_count = s.get_u64()?;
-            let n_bins = bin_lengths.len();
-            if n_bins != self.layout.tile(t).num_cells() {
+            if bin_lengths.len() != self.layout.tile(t).num_cells() {
                 return Err(bad("GPMA bin count disagrees with the tile layout"));
-            }
-            if cells
-                .iter()
-                .any(|&c| c != INVALID_PARTICLE_ID && c >= n_bins)
-            {
-                return Err(bad("cell bin out of range"));
             }
             let [x, y, z, ux, uy, uz, w]: [Vec<f64>; 7] =
                 attrs.try_into().expect("seven attribute arrays");
             let soa = ParticleSoA::from_parts(x, y, z, ux, uy, uz, w, alive, free).map_err(bad)?;
-            let gpma = Gpma::from_state(GpmaState {
+            let gpma = GpmaState {
                 local_index,
                 bin_offsets,
                 bin_lengths,
@@ -870,9 +863,8 @@ impl Simulation {
                 pending,
                 was_rebuilt_this_step,
                 rebuild_count,
-            })
-            .map_err(bad)?;
-            tiles.push(ParticleTile { soa, gpma, cells });
+            };
+            tiles.push(ParticleTile::from_parts(soa, gpma, cells).map_err(bad)?);
         }
 
         // --- RNG -------------------------------------------------------

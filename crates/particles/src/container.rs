@@ -2,7 +2,7 @@
 //! operations Algorithm 1 performs on them (global counting sort,
 //! per-step incremental sweep, cross-tile migration).
 
-use crate::gpma::{Gpma, MoveStats, INVALID_PARTICLE_ID};
+use crate::gpma::{Gpma, GpmaState, MoveStats, INVALID_PARTICLE_ID};
 use crate::soa::ParticleSoA;
 use crate::sort::{counting_sort_keys_sharded, SortScratch, SortStats};
 use mpic_grid::{GridGeometry, Tile, TileLayout};
@@ -50,6 +50,28 @@ impl ParticleTile {
             gpma: Gpma::build(&[], n_bins, gap_ratio),
             cells: Vec::new(),
         }
+    }
+
+    /// Reassembles a tile from checkpointed parts, refusing one whose bin
+    /// map disagrees with its SoA (one entry per slot, a bin exactly on
+    /// the live ones) or with its GPMA (see [`Gpma::validate`]).
+    pub fn from_parts(
+        soa: ParticleSoA,
+        gpma: GpmaState,
+        cells: Vec<usize>,
+    ) -> Result<Self, &'static str> {
+        if cells.len() != soa.slots() {
+            return Err("tile: bin map length disagrees with the SoA");
+        }
+        if cells
+            .iter()
+            .zip(&soa.alive)
+            .any(|(&c, &alive)| alive != (c != INVALID_PARTICLE_ID))
+        {
+            return Err("tile: bin map disagrees with the SoA's live slots");
+        }
+        let gpma = Gpma::from_state(gpma, &cells)?;
+        Ok(Self { soa, gpma, cells })
     }
 
     /// Number of live particles in the tile.

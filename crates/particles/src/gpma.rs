@@ -562,67 +562,11 @@ impl Gpma {
         }
     }
 
-    /// Rebuilds a GPMA from checkpointed state, validating every
-    /// structural invariant instead of trusting the input — a corrupt
-    /// snapshot must surface as an error here, never as a panic in a
-    /// later `apply_pending_moves`.
-    pub fn from_state(s: GpmaState) -> Result<Self, &'static str> {
-        let n_bins = s.bin_lengths.len();
-        if s.bin_offsets.len() != n_bins + 1 || s.bin_free.len() != n_bins {
-            return Err("gpma: bin table lengths disagree");
-        }
-        if s.bin_offsets.first() != Some(&0)
-            || s.bin_offsets.windows(2).any(|w| w[0] > w[1])
-            || s.bin_offsets.last() != Some(&s.local_index.len())
-        {
-            return Err("gpma: bin offsets malformed");
-        }
-        if !(s.gap_ratio.is_finite() && s.gap_ratio >= 0.0) {
-            return Err("gpma: gap ratio out of range");
-        }
-        let mut live = 0usize;
-        for (slot, &p) in s.local_index.iter().enumerate() {
-            if p == INVALID_PARTICLE_ID {
-                continue;
-            }
-            if p >= s.slot_of.len() || s.slot_of[p] != slot {
-                return Err("gpma: slot map inconsistent with index");
-            }
-            live += 1;
-        }
-        if live != s.num_particles {
-            return Err("gpma: particle count mismatch");
-        }
-        if s.local_index.len() - live != s.num_empty_slots {
-            return Err("gpma: empty slot count mismatch");
-        }
-        let mut on_stack = vec![false; s.local_index.len()];
-        for c in 0..n_bins {
-            let (lo, hi) = (s.bin_offsets[c], s.bin_offsets[c + 1]);
-            let valid = s.local_index[lo..hi]
-                .iter()
-                .filter(|&&p| p != INVALID_PARTICLE_ID)
-                .count();
-            if valid != s.bin_lengths[c] {
-                return Err("gpma: bin length mismatch");
-            }
-            if s.bin_free[c].len() != (hi - lo) - valid {
-                return Err("gpma: free stack size mismatch");
-            }
-            for &f in &s.bin_free[c] {
-                if f < lo || f >= hi || s.local_index[f] != INVALID_PARTICLE_ID || on_stack[f] {
-                    return Err("gpma: free stack entry invalid");
-                }
-                on_stack[f] = true;
-            }
-        }
-        for mv in &s.pending {
-            let bin_ok = |b: Option<usize>| b.is_none_or(|b| b < n_bins);
-            if !bin_ok(mv.old_bin) || !bin_ok(mv.new_bin) {
-                return Err("gpma: pending move references missing bin");
-            }
-        }
-        Ok(Self {
+    /// Rebuilds a GPMA from checkpointed state and the tile's
+    /// authoritative bins, validating instead of trusting the input (see
+    /// [`Gpma::validate`]).
+    pub fn from_state(s: GpmaState, cells: &[usize]) -> Result<Self, &'static str> {
+        let g = Self {
             local_index: s.local_index,
             bin_offsets: s.bin_offsets,
             bin_lengths: s.bin_lengths,
@@ -635,58 +579,91 @@ impl Gpma {
             was_rebuilt_this_step: s.was_rebuilt_this_step,
             rebuild_count: s.rebuild_count,
             min_empty_ratio: MIN_EMPTY_RATIO,
-        })
+        };
+        g.validate(cells)?;
+        Ok(g)
     }
 
-    /// Exhaustively validates internal invariants against the
-    /// authoritative per-particle bins. Test/debug helper.
+    /// Checks every structural invariant, no queued moves, and that the
+    /// index agrees exactly with the authoritative per-particle bins
+    /// `cells` (`cells[p]` is the bin of particle `p`,
+    /// `INVALID_PARTICLE_ID` for a dead slot). Never panics, whatever the
+    /// state: a corrupt checkpoint must surface here as an error, not as
+    /// a panic in a later `apply_pending_moves`.
+    pub fn validate(&self, cells: &[usize]) -> Result<(), &'static str> {
+        let n_bins = self.bin_lengths.len();
+        if self.bin_offsets.len() != n_bins + 1 || self.bin_free.len() != n_bins {
+            return Err("gpma: bin table lengths disagree");
+        }
+        if self.bin_offsets.first() != Some(&0)
+            || self.bin_offsets.windows(2).any(|w| w[0] > w[1])
+            || self.bin_offsets.last() != Some(&self.local_index.len())
+        {
+            return Err("gpma: bin offsets malformed");
+        }
+        if !(self.gap_ratio.is_finite() && self.gap_ratio >= 0.0) {
+            return Err("gpma: gap ratio out of range");
+        }
+        if !self.pending.is_empty() {
+            return Err("gpma: moves still queued");
+        }
+        // Plain index bitmaps, not HashSets: the determinism lint (L3)
+        // bans hash collections in result-bearing crates outright, and a
+        // checker should not carry a nondeterministic structure even for
+        // membership-only use.
+        let mut on_stack = vec![false; self.local_index.len()];
+        let mut seen = vec![false; cells.len()];
+        for c in 0..n_bins {
+            let (lo, hi) = (self.bin_offsets[c], self.bin_offsets[c + 1]);
+            for &f in &self.bin_free[c] {
+                if f < lo || f >= hi || self.local_index[f] != INVALID_PARTICLE_ID || on_stack[f] {
+                    return Err("gpma: free stack entry invalid");
+                }
+                on_stack[f] = true;
+            }
+            let mut valid = 0;
+            for (slot, &p) in (lo..hi).zip(&self.local_index[lo..hi]) {
+                if p == INVALID_PARTICLE_ID {
+                    if !on_stack[slot] {
+                        return Err("gpma: gap slot missing from its free stack");
+                    }
+                    continue;
+                }
+                if p >= cells.len() || seen[p] || cells[p] != c {
+                    return Err("gpma: index disagrees with the bin map");
+                }
+                if self.slot_of.get(p) != Some(&slot) {
+                    return Err("gpma: slot map inconsistent with index");
+                }
+                seen[p] = true;
+                valid += 1;
+            }
+            if valid != self.bin_lengths[c] {
+                return Err("gpma: bin length mismatch");
+            }
+        }
+        let live = seen.iter().filter(|&&s| s).count();
+        if live != self.num_particles {
+            return Err("gpma: particle count mismatch");
+        }
+        if live != cells.iter().filter(|&&c| c != INVALID_PARTICLE_ID).count() {
+            return Err("gpma: bin map holds particles the index lacks");
+        }
+        if self.local_index.len() - live != self.num_empty_slots {
+            return Err("gpma: empty slot count mismatch");
+        }
+        Ok(())
+    }
+
+    /// [`Gpma::validate`] as an assertion. Test/debug helper.
     ///
     /// # Panics
     ///
     /// Panics on any inconsistency.
     pub fn check_invariants(&self, cells: &[usize]) {
-        // Plain index bitmap, not a HashSet: the determinism lint (L3)
-        // bans hash collections in result-bearing crates outright, and a
-        // checker should not carry a nondeterministic structure even for
-        // membership-only use.
-        let mut seen = vec![false; cells.len()];
-        let mut live_expected = 0;
-        for &c in cells {
-            if c != INVALID_PARTICLE_ID {
-                live_expected += 1;
-            }
+        if let Err(e) = self.validate(cells) {
+            panic!("GPMA invariant violated: {e}");
         }
-        assert_eq!(self.num_particles, live_expected, "particle count");
-        let mut total_free = 0;
-        for c in 0..self.num_bins() {
-            let mut valid = 0;
-            for (off, &p) in self.bin_slots(c).iter().enumerate() {
-                let slot = self.bin_offsets[c] + off;
-                if p == INVALID_PARTICLE_ID {
-                    assert!(
-                        self.bin_free[c].contains(&slot),
-                        "gap slot {slot} missing from bin {c} stack"
-                    );
-                    total_free += 1;
-                } else {
-                    assert!(p < cells.len(), "particle id {p} out of range");
-                    assert!(!seen[p], "particle {p} appears twice");
-                    seen[p] = true;
-                    assert_eq!(cells[p], c, "particle {p} in wrong bin");
-                    assert_eq!(self.slot_of[p], slot, "slot map stale for {p}");
-                    valid += 1;
-                }
-            }
-            assert_eq!(valid, self.bin_lengths[c], "bin {c} length");
-            assert_eq!(
-                self.bin_free[c].len(),
-                self.bin_slots(c).len() - valid,
-                "bin {c} free stack size"
-            );
-        }
-        let seen_count = seen.iter().filter(|&&s| s).count();
-        assert_eq!(seen_count, live_expected, "all particles indexed");
-        assert_eq!(total_free, self.num_empty_slots, "empty slot count");
     }
 }
 
@@ -833,7 +810,7 @@ mod tests {
         g.queue_move(0, 0, 1);
         cells[0] = 1;
         let _ = g.apply_pending_moves(&cells);
-        let mut twin = Gpma::from_state(g.export_state()).unwrap();
+        let mut twin = Gpma::from_state(g.export_state(), &cells).unwrap();
         twin.check_invariants(&cells);
         assert_eq!(twin.export_state(), g.export_state());
         // Identical future operations must produce identical stats and
@@ -857,29 +834,32 @@ mod tests {
         let cells = vec![0, 1, 1];
         let g = Gpma::build(&cells, 2, 0.5);
         let good = g.export_state();
-        assert!(Gpma::from_state(good.clone()).is_ok());
+        assert!(Gpma::from_state(good.clone(), &cells).is_ok());
 
         let mut bad = good.clone();
         bad.num_particles += 1;
-        assert!(Gpma::from_state(bad).is_err(), "particle count");
+        assert!(Gpma::from_state(bad, &cells).is_err(), "particle count");
 
         let mut bad = good.clone();
         bad.bin_offsets.pop();
-        assert!(Gpma::from_state(bad).is_err(), "offset table");
+        assert!(Gpma::from_state(bad, &cells).is_err(), "offset table");
 
         let mut bad = good.clone();
         bad.slot_of.clear();
-        assert!(Gpma::from_state(bad).is_err(), "slot map");
+        assert!(Gpma::from_state(bad, &cells).is_err(), "slot map");
 
         let mut bad = good.clone();
         if let Some(f) = bad.bin_free.iter_mut().find(|f| !f.is_empty()) {
             f.push(f[0]); // Duplicate free entry.
         }
-        assert!(Gpma::from_state(bad).is_err(), "duplicate free slot");
+        assert!(
+            Gpma::from_state(bad, &cells).is_err(),
+            "duplicate free slot"
+        );
 
         let mut bad = good.clone();
         bad.gap_ratio = f64::NAN;
-        assert!(Gpma::from_state(bad).is_err(), "NaN gap ratio");
+        assert!(Gpma::from_state(bad, &cells).is_err(), "NaN gap ratio");
 
         let mut bad = good;
         bad.pending.push(PendingMove {
@@ -887,7 +867,7 @@ mod tests {
             old_bin: Some(99),
             new_bin: None,
         });
-        assert!(Gpma::from_state(bad).is_err(), "pending bin range");
+        assert!(Gpma::from_state(bad, &cells).is_err(), "queued move");
     }
 
     #[test]

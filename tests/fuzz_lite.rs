@@ -8,9 +8,13 @@
 //! magnitude more inputs. The targets are the three structures whose
 //! corruption would silently break the determinism contract rather than
 //! crash: the run decomposition, the sharded counting sort, and the
-//! GPMA's incremental maintenance.
+//! GPMA's incremental maintenance — plus the snapshot decoder's handling
+//! of corrupt payloads that still carry valid checksums.
 
-use matrix_pic::deposit::ShapeOrder;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use matrix_pic::core::{workloads, Simulation};
+use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::machine::vect::W;
 use matrix_pic::machine::{SchedulerPolicy, WorkerPool, INLINE_ITEM_THRESHOLD};
 use matrix_pic::particles::{
@@ -19,6 +23,8 @@ use matrix_pic::particles::{
 };
 use matrix_pic::push::gather::{gather_from_block, gather_from_block_lanes_masked, NodeBlock};
 use proptest::prelude::*;
+
+mod common;
 
 /// Case budget: `MPIC_FUZZ_ITERS` if set and parseable, else `default`.
 fn fuzz_cases(default: u32) -> u32 {
@@ -304,5 +310,79 @@ fn fuzz_gpma_churn_randomized_shapes() {
         }
         let live = cells.iter().filter(|&&c| c != INVALID_PARTICLE_ID).count();
         prop_assert_eq!(g.num_particles(), live);
+    });
+}
+
+/// Semantic corruption behind valid checksums: one section payload of a
+/// uniform or an LWFA snapshot (taken after two steps) gets a bit flip,
+/// a truncation, or loses 8 bytes at a random offset, and the container
+/// is re-sealed so every checksum passes. Restoring it into a fresh
+/// simulation must either return an error and leave the target's state
+/// unchanged, or succeed and then step twice without panicking.
+#[test]
+fn fuzz_snapshot_semantic_corruption_errors_or_steps() {
+    let makers: [fn() -> Simulation; 2] = [
+        || workloads::uniform_plasma_sim([8, 8, 8], 2, ShapeOrder::Cic, KernelConfig::FullOpt, 97),
+        || workloads::lwfa_sim([8, 8, 32], 2, ShapeOrder::Cic, KernelConfig::FullOpt, 13),
+    ];
+    // Per workload: the mutation source's sections and a fresh target's
+    // snapshot (what a failed restore must leave behind).
+    let bases: Vec<(common::Sections, Vec<u8>)> = makers
+        .iter()
+        .map(|make| {
+            let mut sim = make();
+            sim.run(2);
+            (common::sections(&sim.snapshot()), make().snapshot())
+        })
+        .collect();
+    proptest!(ProptestConfig::with_cases(fuzz_cases(16)).with_corpus("snapshot_semantic"), |(
+        workload in 0usize..2,
+        pick in 0usize..64,
+        kind in 0u8..3,
+        pos in 0usize..1 << 40,
+        bit in 0u8..8,
+    )| {
+        let (parts, fresh) = &bases[workload];
+        let mut parts = parts.clone();
+        let n_sections = parts.len();
+        let (id, body) = &mut parts[pick % n_sections];
+        let at = pos % body.len();
+        let mutation = match kind {
+            0 => {
+                body[at] ^= 1 << bit;
+                "bit flip"
+            }
+            1 => {
+                body.truncate(at);
+                "truncation"
+            }
+            _ => {
+                body.drain(at..(at + 8).min(body.len()));
+                "8-byte deletion"
+            }
+        };
+        let id = *id;
+        let bytes = common::seal(&parts);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut target = makers[workload]();
+            match target.restore(&bytes) {
+                Ok(()) => {
+                    target.run(2);
+                    None
+                }
+                Err(_) => Some(target.snapshot()),
+            }
+        }));
+        match outcome {
+            Err(_) => prop_assert!(
+                false,
+                "section {id} {mutation} at {at}: restore or the steps after it panicked"
+            ),
+            Ok(Some(after)) => prop_assert!(
+                after == *fresh,
+                "section {id} {mutation} at {at}: failed restore mutated the target"
+            ),
+            Ok(None) => {}
+        }
     });
 }

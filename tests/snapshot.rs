@@ -14,6 +14,8 @@ use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::machine::SchedulerPolicy;
 
+mod common;
+
 const UNIFORM_DIMS: [usize; 3] = [8, 8, 8];
 const UNIFORM_PPC: usize = 2;
 const UNIFORM_SEED: u64 = 97;
@@ -405,5 +407,143 @@ fn failed_checksum_restore_leaves_target_untouched() {
     assert!(
         sim.snapshot() == before,
         "failed restore mutated the target"
+    );
+}
+
+/// A named simulation constructor.
+type Labelled = (&'static str, fn() -> Simulation);
+
+/// Tile 0 of a PARTICLES payload: the byte offset of its `cells` vector
+/// (the length prefix) and its GPMA bin count. Walks the section's
+/// layout: charge, mass, gap ratio and tile count, then the tile's seven
+/// `f64` attribute vectors, `alive` bytes, free-slot list and `cells`,
+/// then `local_index` and `bin_offsets` up to `bin_lengths`.
+fn tile0_cells(payload: &[u8]) -> (usize, usize) {
+    let len_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+    let mut at = 4 * 8;
+    for elem_bytes in [8, 8, 8, 8, 8, 8, 8, 1, 8] {
+        at += 8 + elem_bytes * len_at(at);
+    }
+    let cells_at = at;
+    for _ in 0..3 {
+        at += 8 + 8 * len_at(at);
+    }
+    (cells_at, len_at(at))
+}
+
+/// A tile whose bin map disagrees with its SoA or its GPMA is rejected as
+/// malformed, behind valid checksums, and the target is left untouched.
+/// Two mutations of tile 0's `cells`, on both workloads: dropping the last
+/// entry (the map is then shorter than the SoA — stepping such a tile
+/// indexes past its end) and moving one live particle to another valid
+/// bin (the map then contradicts the GPMA — stepping it runs silently on
+/// an inconsistent index).
+#[test]
+fn restore_rejects_a_bin_map_that_disagrees_with_the_tile() {
+    let makers: [Labelled; 2] = [
+        ("uniform", || uniform_sim(1, SchedulerPolicy::Static, false)),
+        ("lwfa", || lwfa_sim(1, SchedulerPolicy::Static, false)),
+    ];
+    for (label, make) in makers {
+        let mut source = make();
+        source.run(2);
+        let parts = common::sections(&source.snapshot());
+        let pi = parts
+            .iter()
+            .position(|(id, _)| *id == section::PARTICLES)
+            .expect("particles section present");
+        let (cells_at, n_bins) = tile0_cells(&parts[pi].1);
+        let payload = &parts[pi].1;
+        let n_cells = u64::from_le_bytes(payload[cells_at..cells_at + 8].try_into().unwrap());
+        let entry = |i: usize| cells_at + 8 + 8 * i;
+
+        let mut shortened = payload.clone();
+        shortened[cells_at..cells_at + 8].copy_from_slice(&(n_cells - 1).to_le_bytes());
+        let last = entry(n_cells as usize - 1);
+        shortened.drain(last..last + 8);
+
+        let mut rebinned = payload.clone();
+        let live = (0..n_cells as usize)
+            .find(|&i| {
+                let at = entry(i);
+                u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) != u64::MAX
+            })
+            .expect("tile 0 holds a live particle");
+        let at = entry(live);
+        let bin = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+        rebinned[at..at + 8].copy_from_slice(&((bin + 1) % n_bins as u64).to_le_bytes());
+
+        for (mutation, body) in [("shortened cells", shortened), ("re-binned cell", rebinned)] {
+            let mut corrupt = parts.clone();
+            corrupt[pi].1 = body;
+            let mut target = make();
+            target.run(1);
+            let before = target.snapshot();
+            match target.restore(&common::seal(&corrupt)) {
+                Err(SnapshotError::Malformed { section: s, .. }) => {
+                    assert_eq!(s, section::PARTICLES, "{label}/{mutation}: wrong section")
+                }
+                other => panic!("{label}/{mutation}: restore gave {other:?}"),
+            }
+            assert!(
+                target.snapshot() == before,
+                "{label}/{mutation}: failed restore mutated the target"
+            );
+        }
+    }
+}
+
+/// The snapshot byte layout, pinned: length and FNV-1a 64 of `snapshot()`
+/// after two steps of a uniform per-particle run, the same run in SIMD
+/// mode, and an LWFA QSP moving-window run. Any change to a section's
+/// field order or widths fails here; a deliberate format change bumps
+/// `snapshot::VERSION` and re-pins these constants.
+#[test]
+fn conf_snapshot_format_is_pinned() {
+    let cases: [Labelled; 3] = [
+        ("uniform cic fullopt per-particle", || {
+            uniform_sim(1, SchedulerPolicy::Static, false)
+        }),
+        ("uniform cic fullopt simd", || {
+            uniform_simd_sim(1, SchedulerPolicy::Static)
+        }),
+        ("lwfa qsp fullopt moving window", || {
+            workloads::lwfa_sim(
+                LWFA_DIMS,
+                LWFA_PPC,
+                ShapeOrder::Qsp,
+                KernelConfig::FullOpt,
+                LWFA_SEED,
+            )
+        }),
+    ];
+    let got: Vec<(&str, usize, u64)> = cases
+        .iter()
+        .map(|&(label, make)| {
+            let mut sim = make();
+            sim.run(2);
+            let bytes = sim.snapshot();
+            (label, bytes.len(), common::fnv1a64(&bytes))
+        })
+        .collect();
+    let want: [(&str, usize, u64); 3] = [
+        (
+            "uniform cic fullopt per-particle",
+            299199,
+            0x03ef_f54a_fbcc_7a90,
+        ),
+        ("uniform cic fullopt simd", 299199, 0xfae7_8f25_fc5a_c69e),
+        (
+            "lwfa qsp fullopt moving window",
+            868912,
+            0xf62e_cbf1_0a02_f034,
+        ),
+    ];
+    assert!(
+        got == want,
+        "snapshot format drifted; recomputed (label, bytes, fnv):\n{}",
+        got.iter()
+            .map(|(label, len, hash)| format!("    (\"{label}\", {len}, 0x{hash:016x}),\n"))
+            .collect::<String>()
     );
 }
