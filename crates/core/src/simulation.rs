@@ -9,7 +9,6 @@ use mpic_machine::{
 };
 use mpic_particles::{
     Departure, GpmaState, ParticleContainer, ParticleSoA, ParticleTile, PendingMove, RankSortStats,
-    INVALID_PARTICLE_ID,
 };
 use mpic_push::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
 use mpic_push::gather::{
@@ -1122,24 +1121,17 @@ fn decode_cache_level(s: &mut SectionReader<'_>) -> Result<CacheLevelState, Snap
 /// trailing edge. All mutation is tile-local, so the result is a pure
 /// function of the tile regardless of which pool worker runs it.
 fn shift_tile_window(tile: &mut ParticleTile, dz: f64, zlo: f64) {
-    let mut removals: Vec<(usize, usize)> = Vec::new();
+    let mut removals = Vec::new();
     for p in 0..tile.soa.slots() {
         if !tile.soa.alive[p] {
             continue;
         }
         tile.soa.z[p] -= dz;
         if tile.soa.z[p] < zlo {
-            removals.push((p, tile.cells[p]));
+            removals.push(p);
         }
     }
-    for &(p, bin) in &removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
-    }
+    tile.remove_slots(&removals);
 }
 
 /// One tile's gather + Boris push + boundary handling, charged on the
@@ -1184,32 +1176,19 @@ fn push_tile(
         boris_push(
             boris, e, b, &mut ux, &mut uy, &mut uz, &mut x, &mut y, &mut z,
         );
-        // Periodic wrap in x/y (and z when fully periodic).
-        let wrapped = geom.wrap_position([x, y, z]);
-        x = wrapped[0];
-        y = wrapped[1];
-        if absorbing {
-            if z < zlo || z >= zhi {
-                scratch.removals.push((p, tile.cells[p]));
-            }
-        } else {
-            z = wrapped[2];
-        }
-        tile.soa.x[p] = x;
-        tile.soa.y[p] = y;
-        tile.soa.z[p] = z;
-        tile.soa.ux[p] = ux;
-        tile.soa.uy[p] = uy;
-        tile.soa.uz[p] = uz;
+        finish_push(
+            geom,
+            absorbing,
+            zlo,
+            zhi,
+            tile,
+            &mut scratch.removals,
+            p,
+            [x, y, z],
+            [ux, uy, uz],
+        );
     }
-    for &(p, bin) in &scratch.removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !scratch.removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
-    }
+    tile.remove_slots(&scratch.removals);
     charge_gather(
         wm,
         GatherCost::default(),
@@ -1341,14 +1320,7 @@ fn push_tile_batched(
     );
     scratch.run_slots.clear();
     scratch.run_frac.clear();
-    for &(p, bin) in &scratch.removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !scratch.removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
-    }
+    tile.remove_slots(&scratch.removals);
     charge_push(wm, scratch.live.len());
 }
 
@@ -1380,7 +1352,7 @@ fn flush_run(
     slots: &[usize],
     fracs: &[[f64; 3]],
     stream: Option<(&[usize], u64)>,
-    removals: &mut Vec<(usize, usize)>,
+    removals: &mut Vec<usize>,
 ) {
     if slots.is_empty() {
         return;
@@ -1435,17 +1407,16 @@ fn flush_run(
 }
 
 /// Boundary handling + SoA writeback of one already-pushed particle
-/// (post-push position `pos` and momentum `u`): statement-for-statement
-/// the tail of [`push_tile`]'s particle loop after its [`boris_push`]
-/// call, so every lane of a pack retires through the same scalar
-/// epilogue.
+/// (post-push position `pos` and momentum `u`): the one epilogue every
+/// push path retires its particles through — [`push_tile`] after each
+/// [`boris_push`], [`flush_run`] per lane of a pack.
 fn finish_push(
     geom: &GridGeometry,
     absorbing: bool,
     zlo: f64,
     zhi: f64,
     tile: &mut ParticleTile,
-    removals: &mut Vec<(usize, usize)>,
+    removals: &mut Vec<usize>,
     p: usize,
     pos: [f64; 3],
     u: [f64; 3],
@@ -1456,7 +1427,7 @@ fn finish_push(
     let mut z = pos[2];
     if absorbing {
         if z < zlo || z >= zhi {
-            removals.push((p, tile.cells[p]));
+            removals.push(p);
         }
     } else {
         z = wrapped[2];

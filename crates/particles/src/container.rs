@@ -179,6 +179,20 @@ impl ParticleTile {
         (stats, scanned)
     }
 
+    /// Removes the particles in SoA slots `slots` (those a push or a
+    /// moving-window shift found leaving the domain) from the SoA, the
+    /// bin map and the GPMA.
+    pub fn remove_slots(&mut self, slots: &[usize]) {
+        for &p in slots {
+            self.gpma.queue_remove(p, self.cells[p]);
+            self.cells[p] = INVALID_PARTICLE_ID;
+            self.soa.remove(p);
+        }
+        if !slots.is_empty() {
+            let _ = self.gpma.apply_pending_moves(&self.cells);
+        }
+    }
+
     /// Inserts one particle (injection or cross-tile arrival).
     pub fn insert(&mut self, d: Departure, tile: &Tile, geom: &GridGeometry) -> MoveStats {
         let (cell, _) = geom.locate(d.x, d.y, d.z);

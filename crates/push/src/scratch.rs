@@ -15,8 +15,8 @@ pub struct PushScratch {
     /// Per-particle sampled grid node index (drives the gather's emulated
     /// address stream).
     pub sample_idx: Vec<usize>,
-    /// Particles leaving the domain this step, as `(slot, gpma_bin)`.
-    pub removals: Vec<(usize, usize)>,
+    /// SoA slots of the particles leaving the domain this step.
+    pub removals: Vec<usize>,
     /// SoA slots of the currently open same-cell run (SIMD gather only:
     /// the lane-parallel sweep buffers a run and interpolates it in
     /// lane-width packs when the run closes).
@@ -46,7 +46,7 @@ mod tests {
         let mut s = PushScratch::default();
         s.live.extend(0..100);
         s.sample_idx.extend(0..100);
-        s.removals.push((1, 2));
+        s.removals.push(1);
         s.run_slots.push(7);
         s.run_frac.push([0.5; 3]);
         let cap = s.live.capacity();
