@@ -1,15 +1,15 @@
 //! The PIC simulation orchestrator: Algorithm 1 embedded in the standard
 //! gather -> push -> sort -> deposit -> field-solve loop.
 
+use std::borrow::Cow;
+
 use mpic_deposit::{canonical_flops_per_particle, AddrMap, Depositor, ShapeOrder, SortStrategy};
 use mpic_grid::constants::C;
 use mpic_grid::{Array3, FieldArrays, GridGeometry, TileLayout};
 use mpic_machine::{
-    vect::W, CacheLevelState, CacheSimState, Lanes, Machine, PerfCounters, Phase, VAddr, WorkerPool,
+    vect::W, CacheSimState, CacheStats, Lanes, Machine, PerfCounters, Phase, VAddr, WorkerPool,
 };
-use mpic_particles::{
-    Departure, GpmaState, ParticleContainer, ParticleSoA, ParticleTile, PendingMove, RankSortStats,
-};
+use mpic_particles::{Departure, ParticleContainer, ParticleTile, RankSortStats};
 use mpic_push::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
 use mpic_push::gather::{
     charge_gather, charge_gather_run, charge_gather_run_reuse, gather_fields_with_cell,
@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::SimConfig;
-use crate::snapshot::{section, SectionReader, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{codec_struct, section, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::timings::{RunReport, StepTimings};
 
 /// Plasma parameters used when the moving window injects fresh particles
@@ -335,11 +335,6 @@ impl Simulation {
     /// E/B values (gathers are read-only), ~ppc x fewer modelled node
     /// loads.
     fn push_particles(&mut self) {
-        let order = self.cfg.shape;
-        let nodes = order.nodes_3d();
-        let absorbing = self.cfg.boundary == BoundaryKind::AbsorbingZ;
-        let zlo = self.geom.lo[2];
-        let zhi = self.geom.hi()[2];
         // The GPMA bins are position-accurate at push time only when a
         // sorting strategy maintains them for kernel consumption; the
         // unsorted baseline keeps the per-particle reference sweep
@@ -353,45 +348,25 @@ impl Simulation {
         if self.push_scratch.len() < workers {
             self.push_scratch.resize_with(workers, PushScratch::default);
         }
-        let geom = &self.geom;
-        let fields = &self.fields;
-        let boris = self.boris;
-        let field_addrs = self.field_addrs;
+        let ctx = PushCtx {
+            geom: &self.geom,
+            order: self.cfg.shape,
+            fields: &self.fields,
+            field_addrs: self.field_addrs,
+            boris: self.boris,
+            absorbing: self.cfg.boundary == BoundaryKind::AbsorbingZ,
+            zlo: self.geom.lo[2],
+            zhi: self.geom.hi()[2],
+        };
         let counters = self.pool.exec(self.cfg.scheduler).run_counted(
             &self.machine,
             &mut self.electrons.tiles,
             &mut self.push_scratch,
             |wm, _t, tile, scratch| {
                 if batched {
-                    push_tile_batched(
-                        wm,
-                        geom,
-                        order,
-                        fields,
-                        &field_addrs,
-                        &boris,
-                        absorbing,
-                        zlo,
-                        zhi,
-                        stream,
-                        tile,
-                        scratch,
-                    );
+                    push_tile_batched(wm, &ctx, stream, tile, scratch);
                 } else {
-                    push_tile(
-                        wm,
-                        geom,
-                        order,
-                        nodes,
-                        fields,
-                        &field_addrs,
-                        &boris,
-                        absorbing,
-                        zlo,
-                        zhi,
-                        tile,
-                        scratch,
-                    );
+                    push_tile(wm, &ctx, tile, scratch);
                 }
             },
         );
@@ -551,171 +526,60 @@ impl Simulation {
     /// is not perturbed, so snapshots can be taken mid-run at any step
     /// boundary.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut wtr = SnapshotWriter::new();
-
-        wtr.begin_section(section::META);
-        for d in 0..3 {
-            wtr.put_usize(self.cfg.n_cells[d]);
-        }
-        for d in 0..3 {
-            wtr.put_f64(self.cfg.dx[d]);
-        }
-        for d in 0..3 {
-            wtr.put_usize(self.cfg.tile_size[d]);
-        }
-        wtr.put_usize(self.cfg.guard);
-        wtr.put_u32(solver_kind_id(self.solver.kind()));
-        wtr.put_usize(self.cfg.shape.order());
-        wtr.put_str(self.kernel_name());
-        wtr.put_f64(self.dt);
-        wtr.put_usize(self.electrons.tiles.len());
-        wtr.put_usize(self.fields.ex.as_slice().len());
-        wtr.end_section();
-
-        wtr.begin_section(section::FIELDS);
-        for arr in field_array_refs(&self.fields) {
-            wtr.put_vec_f64(arr.as_slice());
-        }
-        wtr.end_section();
-
-        wtr.begin_section(section::PARTICLES);
-        wtr.put_f64(self.electrons.charge);
-        wtr.put_f64(self.electrons.mass);
-        wtr.put_f64(self.electrons.gap_ratio());
-        wtr.put_usize(self.electrons.tiles.len());
-        for tile in &self.electrons.tiles {
-            for attr in [
-                &tile.soa.x,
-                &tile.soa.y,
-                &tile.soa.z,
-                &tile.soa.ux,
-                &tile.soa.uy,
-                &tile.soa.uz,
-                &tile.soa.w,
-            ] {
-                wtr.put_vec_f64(attr);
-            }
-            wtr.put_vec_bool(&tile.soa.alive);
-            wtr.put_vec_usize(tile.soa.free_slots());
-            wtr.put_vec_usize(&tile.cells);
-            let g = tile.gpma.export_state();
-            wtr.put_vec_usize(&g.local_index);
-            wtr.put_vec_usize(&g.bin_offsets);
-            wtr.put_vec_usize(&g.bin_lengths);
-            wtr.put_usize(g.bin_free.len());
-            for stack in &g.bin_free {
-                wtr.put_vec_usize(stack);
-            }
-            wtr.put_vec_usize(&g.slot_of);
-            wtr.put_usize(g.num_particles);
-            wtr.put_usize(g.num_empty_slots);
-            wtr.put_f64(g.gap_ratio);
-            wtr.put_usize(g.pending.len());
-            for p in &g.pending {
-                wtr.put_usize(p.particle);
-                put_opt_usize(&mut wtr, p.old_bin);
-                put_opt_usize(&mut wtr, p.new_bin);
-            }
-            wtr.put_bool(g.was_rebuilt_this_step);
-            wtr.put_u64(g.rebuild_count);
-        }
-        wtr.end_section();
-
-        wtr.begin_section(section::RNG);
-        wtr.put_u64(self.rng.state());
-        wtr.end_section();
-
-        wtr.begin_section(section::DRIVER);
-        wtr.put_u64(self.sort_stats.steps_since_sort);
-        wtr.put_u64(self.sort_stats.rebuilds_accum);
-        wtr.put_f64(self.sort_stats.empty_ratio);
-        wtr.put_f64(self.sort_stats.perf_metric);
-        wtr.put_f64(self.sort_stats.baseline_perf);
-        wtr.put_bool(self.pending_global_sort);
-        wtr.put_f64(self.window_accum);
-        wtr.put_f64(self.time);
-        wtr.put_u64(self.step_index);
-        wtr.end_section();
-
-        wtr.begin_section(section::COUNTERS);
-        let ctr = self.machine.counters();
-        for p in Phase::ALL {
-            wtr.put_f64(ctr.cycles(p));
-        }
-        wtr.put_f64(ctr.flops_issued);
-        wtr.put_f64(ctr.useful_flops);
-        wtr.put_u64(ctr.scalar_ops);
-        wtr.put_u64(ctr.vector_ops);
-        wtr.put_u64(ctr.mopa_ops);
-        wtr.put_u64(ctr.tile_transfers);
         let mem = self.machine.mem_ref();
-        for stats in [mem.l1_stats(), mem.l2_stats()] {
-            wtr.put_u64(stats.hits);
-            wtr.put_u64(stats.misses);
-        }
-        let (streamed, random) = mem.miss_split();
-        wtr.put_u64(streamed);
-        wtr.put_u64(random);
-        wtr.end_section();
-
-        wtr.begin_section(section::CACHE);
-        let cache = self.machine.mem_ref().cache_state();
-        for lvl in [&cache.l1, &cache.l2] {
-            wtr.put_vec_u64(&lvl.tags);
-            wtr.put_vec_u64(&lvl.stamps);
-            wtr.put_u64(lvl.clock);
-            wtr.put_u64(lvl.memo_line);
-            wtr.put_u64(lvl.memo_slot);
-        }
-        wtr.put_usize(cache.streams.len());
-        for &(tag, count) in &cache.streams {
-            wtr.put_u64(tag);
-            wtr.put_u32(count);
-        }
-        wtr.put_u32(cache.decay_tick);
-        wtr.end_section();
-
-        wtr.begin_section(section::ADDRS);
-        wtr.put_u64(self.machine.mem_ref().alloc_mark());
-        for a in self.field_addrs {
-            wtr.put_u64(a.0);
-        }
         let am = self
             .depositor
             .addr_map()
             .expect("depositor prepared at construction");
-        wtr.put_u64(am.jx.0);
-        wtr.put_u64(am.jy.0);
-        wtr.put_u64(am.jz.0);
-        wtr.put_usize(am.soa.len());
-        for tile in &am.soa {
-            for a in tile {
-                wtr.put_u64(a.0);
-            }
-        }
-        wtr.put_usize(am.local_index.len());
-        for a in &am.local_index {
-            wtr.put_u64(a.0);
-        }
-        wtr.put_usize(am.rhocell.len());
-        for a in &am.rhocell {
-            wtr.put_u64(a.0);
-        }
-        wtr.put_u64(am.staging.0);
-        wtr.end_section();
+        let (streamed, random) = mem.miss_split();
+        let mut w = SnapshotWriter::new();
+        w.section(section::META, |w| w.put(&self.fingerprint()));
+        let fields: Fields = field_array_refs(&self.fields).map(|a| Cow::Borrowed(a.as_slice()));
+        w.section(section::FIELDS, |w| w.put(&fields));
+        let particles: Particles = (
+            self.electrons.charge,
+            self.electrons.mass,
+            self.electrons.gap_ratio(),
+            Cow::Borrowed(&self.electrons.tiles),
+        );
+        w.section(section::PARTICLES, |w| w.put(&particles));
+        w.section(section::RNG, |w| w.put(&self.rng.state()));
+        let driver: Driver = (
+            self.sort_stats.clone(),
+            self.pending_global_sort,
+            self.window_accum,
+            self.time,
+            self.step_index,
+        );
+        w.section(section::DRIVER, |w| w.put(&driver));
+        let counters: Counters = (
+            self.machine.counters().clone(),
+            [mem.l1_stats(), mem.l2_stats()],
+            streamed,
+            random,
+        );
+        w.section(section::COUNTERS, |w| w.put(&counters));
+        w.section(section::CACHE, |w| w.put(&mem.cache_state()));
+        let addrs: Addrs = (mem.alloc_mark(), self.field_addrs, Cow::Borrowed(am));
+        w.section(section::ADDRS, |w| w.put(&addrs));
+        w.section(section::REPORT, |w| w.put(&self.report));
+        w.finish()
+    }
 
-        wtr.begin_section(section::REPORT);
-        wtr.put_f64(self.report.useful_flops);
-        wtr.put_usize(self.report.steps.len());
-        for s in &self.report.steps {
-            for c in s.cycles {
-                wtr.put_f64(c);
-            }
-            wtr.put_usize(s.particles);
+    /// The configuration fingerprint a snapshot must match to restore here.
+    fn fingerprint(&self) -> Fingerprint {
+        Fingerprint {
+            n_cells: self.cfg.n_cells,
+            dx: self.cfg.dx.map(f64::to_bits),
+            tile_size: self.cfg.tile_size,
+            guard: self.cfg.guard,
+            solver: solver_kind_id(self.solver.kind()),
+            shape_order: self.cfg.shape.order(),
+            kernel: self.kernel_name().to_owned(),
+            dt: self.dt.to_bits(),
+            n_tiles: self.electrons.tiles.len(),
+            field_len: self.fields.ex.as_slice().len(),
         }
-        wtr.end_section();
-
-        wtr.finish()
     }
 
     /// Restores the state captured by [`Simulation::snapshot`] into this
@@ -730,298 +594,65 @@ impl Simulation {
     /// restore leaves the simulation exactly as it was.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let rdr = SnapshotReader::new(bytes)?;
+        let want = self.fingerprint();
+        want.check(&rdr.decode(section::META)?)?;
+        let malformed = |section, reason| SnapshotError::Malformed { section, reason };
 
-        // --- META: configuration fingerprint --------------------------
-        let mut s = rdr.section(section::META)?;
-        for d in 0..3 {
-            if s.get_usize()? != self.cfg.n_cells[d] {
-                return Err(SnapshotError::Incompatible { reason: "n_cells" });
-            }
+        let fields: Fields = rdr.decode(section::FIELDS)?;
+        if fields.iter().any(|f| f.len() != want.field_len) {
+            return Err(malformed(section::FIELDS, "field array length mismatch"));
         }
-        for d in 0..3 {
-            if s.get_f64()?.to_bits() != self.cfg.dx[d].to_bits() {
-                return Err(SnapshotError::Incompatible { reason: "dx" });
-            }
-        }
-        for d in 0..3 {
-            if s.get_usize()? != self.cfg.tile_size[d] {
-                return Err(SnapshotError::Incompatible {
-                    reason: "tile_size",
-                });
-            }
-        }
-        if s.get_usize()? != self.cfg.guard {
-            return Err(SnapshotError::Incompatible { reason: "guard" });
-        }
-        if s.get_u32()? != solver_kind_id(self.solver.kind()) {
-            return Err(SnapshotError::Incompatible { reason: "solver" });
-        }
-        if s.get_usize()? != self.cfg.shape.order() {
-            return Err(SnapshotError::Incompatible {
-                reason: "shape order",
-            });
-        }
-        if s.get_string()? != self.kernel_name() {
-            return Err(SnapshotError::Incompatible { reason: "kernel" });
-        }
-        if s.get_f64()?.to_bits() != self.dt.to_bits() {
-            return Err(SnapshotError::Incompatible { reason: "dt" });
-        }
-        let n_tiles = self.electrons.tiles.len();
-        if s.get_usize()? != n_tiles {
-            return Err(SnapshotError::Incompatible {
-                reason: "tile count",
-            });
-        }
-        let field_len = self.fields.ex.as_slice().len();
-        if s.get_usize()? != field_len {
-            return Err(SnapshotError::Incompatible {
-                reason: "field length",
-            });
-        }
-
-        // --- FIELDS ----------------------------------------------------
-        let mut s = rdr.section(section::FIELDS)?;
-        let mut field_data = Vec::with_capacity(9);
-        for _ in 0..9 {
-            let v = s.get_vec_f64()?;
-            if v.len() != field_len {
-                return Err(SnapshotError::Malformed {
-                    section: section::FIELDS,
-                    reason: "field array length mismatch",
-                });
-            }
-            field_data.push(v);
-        }
-
-        // --- PARTICLES -------------------------------------------------
-        let mut s = rdr.section(section::PARTICLES)?;
-        let bad = |reason| SnapshotError::Malformed {
-            section: section::PARTICLES,
-            reason,
-        };
-        let charge = s.get_f64()?;
-        let mass = s.get_f64()?;
-        let gap_ratio = s.get_f64()?;
+        let (charge, mass, gap_ratio, tiles): Particles = rdr.decode(section::PARTICLES)?;
+        let bad = |reason| malformed(section::PARTICLES, reason);
         if !gap_ratio.is_finite() || gap_ratio < 0.0 {
             return Err(bad("gap ratio outside [0, inf)"));
         }
-        if s.get_usize()? != n_tiles {
+        if tiles.len() != want.n_tiles {
             return Err(bad("tile count disagrees with META"));
         }
-        let mut tiles = Vec::with_capacity(n_tiles);
-        for t in 0..n_tiles {
-            let mut attrs = Vec::with_capacity(7);
-            for _ in 0..7 {
-                attrs.push(s.get_vec_f64()?);
-            }
-            let alive = s.get_vec_bool()?;
-            let free = s.get_vec_usize()?;
-            let cells = s.get_vec_usize()?;
-            let local_index = s.get_vec_usize()?;
-            let bin_offsets = s.get_vec_usize()?;
-            let bin_lengths = s.get_vec_usize()?;
-            let n_stacks = s.get_usize()?;
-            if n_stacks != bin_lengths.len() {
-                return Err(bad("free-stack count disagrees with bin count"));
-            }
-            let mut bin_free = Vec::with_capacity(n_stacks);
-            for _ in 0..n_stacks {
-                bin_free.push(s.get_vec_usize()?);
-            }
-            let slot_of = s.get_vec_usize()?;
-            let num_particles = s.get_usize()?;
-            let num_empty_slots = s.get_usize()?;
-            let g_gap_ratio = s.get_f64()?;
-            let n_pending = s.get_usize()?;
-            let mut pending = Vec::with_capacity(n_pending.min(s.remaining() / 17));
-            for _ in 0..n_pending {
-                pending.push(PendingMove {
-                    particle: s.get_usize()?,
-                    old_bin: get_opt_usize(&mut s)?,
-                    new_bin: get_opt_usize(&mut s)?,
-                });
-            }
-            let was_rebuilt_this_step = s.get_bool()?;
-            let rebuild_count = s.get_u64()?;
-            if bin_lengths.len() != self.layout.tile(t).num_cells() {
-                return Err(bad("GPMA bin count disagrees with the tile layout"));
-            }
-            let [x, y, z, ux, uy, uz, w]: [Vec<f64>; 7] =
-                attrs.try_into().expect("seven attribute arrays");
-            let soa = ParticleSoA::from_parts(x, y, z, ux, uy, uz, w, alive, free).map_err(bad)?;
-            let gpma = GpmaState {
-                local_index,
-                bin_offsets,
-                bin_lengths,
-                bin_free,
-                slot_of,
-                num_particles,
-                num_empty_slots,
-                gap_ratio: g_gap_ratio,
-                pending,
-                was_rebuilt_this_step,
-                rebuild_count,
-            };
-            tiles.push(ParticleTile::from_parts(soa, gpma, cells).map_err(bad)?);
+        if tiles
+            .iter()
+            .zip(self.layout.iter())
+            .any(|(t, l)| t.gpma.num_bins() != l.num_cells())
+        {
+            return Err(bad("GPMA bin count disagrees with the tile layout"));
         }
-
-        // --- RNG -------------------------------------------------------
-        let mut s = rdr.section(section::RNG)?;
-        let rng_state = s.get_u64()?;
-
-        // --- DRIVER ----------------------------------------------------
-        let mut s = rdr.section(section::DRIVER)?;
-        let sort_stats = RankSortStats {
-            steps_since_sort: s.get_u64()?,
-            rebuilds_accum: s.get_u64()?,
-            empty_ratio: s.get_f64()?,
-            perf_metric: s.get_f64()?,
-            baseline_perf: s.get_f64()?,
-        };
-        let pending_global_sort = s.get_bool()?;
-        let window_accum = s.get_f64()?;
-        let time = s.get_f64()?;
-        let step_index = s.get_u64()?;
-
-        // --- COUNTERS --------------------------------------------------
-        let mut s = rdr.section(section::COUNTERS)?;
-        let mut cycles = [0.0f64; 8];
-        for c in &mut cycles {
-            *c = s.get_f64()?;
-        }
-        let flops_issued = s.get_f64()?;
-        let useful_flops = s.get_f64()?;
-        let scalar_ops = s.get_u64()?;
-        let vector_ops = s.get_u64()?;
-        let mopa_ops = s.get_u64()?;
-        let tile_transfers = s.get_u64()?;
-        let mut level_stats = [mpic_machine::CacheStats::default(); 2];
-        for stats in &mut level_stats {
-            stats.hits = s.get_u64()?;
-            stats.misses = s.get_u64()?;
-        }
-        let streamed_misses = s.get_u64()?;
-        let random_misses = s.get_u64()?;
-
-        // --- CACHE -----------------------------------------------------
-        let mut s = rdr.section(section::CACHE)?;
-        let l1 = decode_cache_level(&mut s)?;
-        let l2 = decode_cache_level(&mut s)?;
-        let n_streams = s.get_usize()?;
-        if n_streams > s.remaining() / 12 + 1 {
-            return Err(SnapshotError::Malformed {
-                section: section::CACHE,
-                reason: "stream table length exceeds the section",
-            });
-        }
-        let mut streams = Vec::with_capacity(n_streams);
-        for _ in 0..n_streams {
-            let tag = s.get_u64()?;
-            let count = s.get_u32()?;
-            streams.push((tag, count));
-        }
-        let decay_tick = s.get_u32()?;
-        let cache_state = CacheSimState {
-            l1,
-            l2,
-            streams,
-            decay_tick,
-        };
-
-        // --- ADDRS -----------------------------------------------------
-        let mut s = rdr.section(section::ADDRS)?;
-        let bad_addr = |reason| SnapshotError::Malformed {
-            section: section::ADDRS,
-            reason,
-        };
-        let alloc_mark = s.get_u64()?;
-        let mut field_addrs = [VAddr(0); 6];
-        for a in &mut field_addrs {
-            *a = VAddr(s.get_u64()?);
-        }
-        let jx = VAddr(s.get_u64()?);
-        let jy = VAddr(s.get_u64()?);
-        let jz = VAddr(s.get_u64()?);
-        if s.get_usize()? != n_tiles {
+        let rng_state: u64 = rdr.decode(section::RNG)?;
+        let (sort_stats, pending_global_sort, window_accum, time, step_index): Driver =
+            rdr.decode(section::DRIVER)?;
+        let (counters, [l1_stats, l2_stats], streamed_misses, random_misses): Counters =
+            rdr.decode(section::COUNTERS)?;
+        let cache_state: CacheSimState = rdr.decode(section::CACHE)?;
+        let (alloc_mark, field_addrs, addr_map): Addrs = rdr.decode(section::ADDRS)?;
+        let bad_addr = |reason| malformed(section::ADDRS, reason);
+        if addr_map.soa.len() != want.n_tiles {
             return Err(bad_addr("SoA address table length"));
         }
-        let mut soa_addrs = Vec::with_capacity(n_tiles);
-        for _ in 0..n_tiles {
-            let mut tile_addrs = [VAddr(0); 7];
-            for a in &mut tile_addrs {
-                *a = VAddr(s.get_u64()?);
-            }
-            soa_addrs.push(tile_addrs);
-        }
-        if s.get_usize()? != n_tiles {
+        if addr_map.local_index.len() != want.n_tiles {
             return Err(bad_addr("local-index address table length"));
         }
-        let mut local_index_addrs = Vec::with_capacity(n_tiles);
-        for _ in 0..n_tiles {
-            local_index_addrs.push(VAddr(s.get_u64()?));
-        }
-        if s.get_usize()? != n_tiles {
+        if addr_map.rhocell.len() != want.n_tiles {
             return Err(bad_addr("rhocell address table length"));
         }
-        let mut rhocell_addrs = Vec::with_capacity(n_tiles);
-        for _ in 0..n_tiles {
-            rhocell_addrs.push(VAddr(s.get_u64()?));
-        }
-        let staging = VAddr(s.get_u64()?);
-        let addr_map = AddrMap {
-            jx,
-            jy,
-            jz,
-            soa: soa_addrs,
-            local_index: local_index_addrs,
-            rhocell: rhocell_addrs,
-            staging,
-        };
-
-        // --- REPORT ----------------------------------------------------
-        let mut s = rdr.section(section::REPORT)?;
-        let report_useful_flops = s.get_f64()?;
-        let n_steps = s.get_usize()?;
-        if n_steps > s.remaining() / 72 + 1 {
-            return Err(SnapshotError::Malformed {
-                section: section::REPORT,
-                reason: "step count exceeds the section",
-            });
-        }
-        let mut steps = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            let mut cy = [0.0f64; 8];
-            for c in &mut cy {
-                *c = s.get_f64()?;
-            }
-            let particles = s.get_usize()?;
-            steps.push(StepTimings {
-                cycles: cy,
-                particles,
-            });
-        }
+        let report: RunReport = rdr.decode(section::REPORT)?;
 
         // --- Apply. The cache import is the one remaining fallible
         // step; it validates geometry before mutating anything, so a
         // failure here still leaves `self` untouched. Everything after
         // it is infallible.
         if !self.machine.mem().restore_cache_state(&cache_state) {
-            return Err(SnapshotError::Malformed {
-                section: section::CACHE,
-                reason: "cache state rejected by geometry validation",
-            });
+            return Err(malformed(
+                section::CACHE,
+                "cache state rejected by geometry validation",
+            ));
         }
-        for (arr, data) in field_array_muts(&mut self.fields)
-            .into_iter()
-            .zip(&field_data)
-        {
+        for (arr, data) in field_array_muts(&mut self.fields).into_iter().zip(&fields) {
             arr.as_mut_slice().copy_from_slice(data);
         }
         self.electrons.charge = charge;
         self.electrons.mass = mass;
         self.electrons.set_gap_ratio(gap_ratio);
-        self.electrons.tiles = tiles;
+        self.electrons.tiles = tiles.into_owned();
         // Derived from species parameters — rebuilt, not serialized.
         self.boris = BorisCoeffs::new(charge, mass, self.dt);
         self.rng = StdRng::from_state(rng_state);
@@ -1030,35 +661,76 @@ impl Simulation {
         self.window_accum = window_accum;
         self.time = time;
         self.step_index = step_index;
-        let ctr = self.machine.counters_mut();
-        *ctr = PerfCounters::new();
-        for (p, c) in Phase::ALL.iter().zip(cycles) {
-            ctr.add_cycles(*p, c);
-        }
-        ctr.flops_issued = flops_issued;
-        ctr.useful_flops = useful_flops;
-        ctr.scalar_ops = scalar_ops;
-        ctr.vector_ops = vector_ops;
-        ctr.mopa_ops = mopa_ops;
-        ctr.tile_transfers = tile_transfers;
+        *self.machine.counters_mut() = counters;
         // Zero the accumulated cache statistics, then seed them with the
         // captured totals through the worker-merge path.
         let _ = self.machine.mem().take_stats();
-        self.machine.mem().absorb_stats(
-            &level_stats[0],
-            &level_stats[1],
-            streamed_misses,
-            random_misses,
-        );
+        self.machine
+            .mem()
+            .absorb_stats(&l1_stats, &l2_stats, streamed_misses, random_misses);
         self.machine.mem().restore_alloc_mark(alloc_mark);
         self.machine.reset_execution_state();
         self.field_addrs = field_addrs;
-        self.depositor.restore_addr_map(addr_map);
-        self.report = RunReport {
-            steps,
-            useful_flops: report_useful_flops,
-        };
+        self.depositor.restore_addr_map(addr_map.into_owned());
+        self.report = report;
         Ok(())
+    }
+}
+
+// Section payload types; the large arrays are borrowed when written and
+// owned when read. RNG (the stream state), CACHE (`CacheSimState`) and
+// REPORT (`RunReport`) carry a single value each.
+/// FIELDS: the nine guarded field arrays.
+type Fields<'a> = [Cow<'a, [f64]>; 9];
+/// PARTICLES: species charge, mass and gap ratio, then every tile.
+type Particles<'a> = (f64, f64, f64, Cow<'a, [ParticleTile]>);
+/// DRIVER: sort-policy counters, pending global sort, window
+/// accumulator, time and step index.
+type Driver = (RankSortStats, bool, f64, f64, u64);
+/// COUNTERS: the performance counters, L1/L2 hit/miss totals and the
+/// streamed/random miss split.
+type Counters = (PerfCounters, [CacheStats; 2], u64, u64);
+/// ADDRS: the allocator mark, field addresses and depositor address map.
+type Addrs<'a> = (u64, [VAddr; 6], Cow<'a, AddrMap>);
+
+/// The META section: the configuration a snapshot was taken under.
+/// Floats are kept as their bit patterns, so the comparison is bitwise.
+struct Fingerprint {
+    n_cells: [usize; 3],
+    dx: [u64; 3],
+    tile_size: [usize; 3],
+    guard: usize,
+    solver: u32,
+    shape_order: usize,
+    kernel: String,
+    dt: u64,
+    n_tiles: usize,
+    field_len: usize,
+}
+
+codec_struct! { Fingerprint {
+    n_cells, dx, tile_size, guard, solver, shape_order, kernel, dt, n_tiles, field_len,
+} }
+
+impl Fingerprint {
+    /// `Incompatible`, naming the first field of `got` that differs.
+    fn check(&self, got: &Self) -> Result<(), SnapshotError> {
+        let fields = [
+            (self.n_cells == got.n_cells, "n_cells"),
+            (self.dx == got.dx, "dx"),
+            (self.tile_size == got.tile_size, "tile_size"),
+            (self.guard == got.guard, "guard"),
+            (self.solver == got.solver, "solver"),
+            (self.shape_order == got.shape_order, "shape order"),
+            (self.kernel == got.kernel, "kernel"),
+            (self.dt == got.dt, "dt"),
+            (self.n_tiles == got.n_tiles, "tile count"),
+            (self.field_len == got.field_len, "field length"),
+        ];
+        match fields.into_iter().find(|&(same, _)| !same) {
+            Some((_, reason)) => Err(SnapshotError::Incompatible { reason }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1085,37 +757,6 @@ fn field_array_muts(f: &mut FieldArrays) -> [&mut Array3; 9] {
     ]
 }
 
-/// `Option<usize>` as a tag byte plus the value when present.
-fn put_opt_usize(wtr: &mut SnapshotWriter, v: Option<usize>) {
-    match v {
-        Some(x) => {
-            wtr.put_bool(true);
-            wtr.put_usize(x);
-        }
-        None => wtr.put_bool(false),
-    }
-}
-
-/// Inverse of [`put_opt_usize`].
-fn get_opt_usize(s: &mut SectionReader<'_>) -> Result<Option<usize>, SnapshotError> {
-    Ok(if s.get_bool()? {
-        Some(s.get_usize()?)
-    } else {
-        None
-    })
-}
-
-/// Decodes one cache level's behavioural state.
-fn decode_cache_level(s: &mut SectionReader<'_>) -> Result<CacheLevelState, SnapshotError> {
-    Ok(CacheLevelState {
-        tags: s.get_vec_u64()?,
-        stamps: s.get_vec_u64()?,
-        clock: s.get_u64()?,
-        memo_line: s.get_u64()?,
-        memo_slot: s.get_u64()?,
-    })
-}
-
 /// One tile's share of the moving-window shift: translate every live
 /// particle by one cell towards -z and remove those that fell off the
 /// trailing edge. All mutation is tile-local, so the result is a pure
@@ -1134,20 +775,26 @@ fn shift_tile_window(tile: &mut ParticleTile, dz: f64, zlo: f64) {
     tile.remove_slots(&removals);
 }
 
+/// What every tile's push reads: the field state and the constants of
+/// one push phase, shared read-only by all tiles.
+struct PushCtx<'a> {
+    geom: &'a GridGeometry,
+    order: ShapeOrder,
+    fields: &'a FieldArrays,
+    field_addrs: [VAddr; 6],
+    boris: BorisCoeffs,
+    /// Particles leaving `[zlo, zhi)` are removed; otherwise z wraps.
+    absorbing: bool,
+    zlo: f64,
+    zhi: f64,
+}
+
 /// One tile's gather + Boris push + boundary handling, charged on the
 /// worker machine `wm` with a fresh per-tile cache. All mutation is
 /// tile-local; the field state is read-only.
 fn push_tile(
     wm: &mut Machine,
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    nodes: usize,
-    fields: &FieldArrays,
-    field_addrs: &[VAddr; 6],
-    boris: &BorisCoeffs,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
+    ctx: &PushCtx<'_>,
     tile: &mut ParticleTile,
     scratch: &mut PushScratch,
 ) {
@@ -1157,44 +804,28 @@ fn push_tile(
         return;
     }
     wm.mem().flush_cache();
+    let (geom, fields) = (ctx.geom, ctx.fields);
     for &p in &scratch.live {
-        let (e, b, cw) = gather_fields_with_cell(
-            geom,
-            order,
-            fields,
-            tile.soa.x[p],
-            tile.soa.y[p],
-            tile.soa.z[p],
-        );
+        let (mut x, mut y, mut z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
+        let (e, b, cw) = gather_fields_with_cell(geom, ctx.order, fields, x, y, z);
         scratch.sample_idx.push(fields.ex.idx(
             cw[0] + geom.guard,
             cw[1] + geom.guard,
             cw[2] + geom.guard,
         ));
-        let (mut x, mut y, mut z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
         let (mut ux, mut uy, mut uz) = (tile.soa.ux[p], tile.soa.uy[p], tile.soa.uz[p]);
         boris_push(
-            boris, e, b, &mut ux, &mut uy, &mut uz, &mut x, &mut y, &mut z,
+            &ctx.boris, e, b, &mut ux, &mut uy, &mut uz, &mut x, &mut y, &mut z,
         );
-        finish_push(
-            geom,
-            absorbing,
-            zlo,
-            zhi,
-            tile,
-            &mut scratch.removals,
-            p,
-            [x, y, z],
-            [ux, uy, uz],
-        );
+        finish_push(ctx, tile, &mut scratch.removals, p, [x, y, z], [ux, uy, uz]);
     }
     tile.remove_slots(&scratch.removals);
     charge_gather(
         wm,
         GatherCost::default(),
         scratch.live.len(),
-        nodes,
-        field_addrs,
+        ctx.order.nodes_3d(),
+        &ctx.field_addrs,
         &scratch.sample_idx,
     );
     charge_push(wm, scratch.live.len());
@@ -1237,14 +868,7 @@ fn push_tile(
 /// particle can observe another's push.
 fn push_tile_batched(
     wm: &mut Machine,
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    fields: &FieldArrays,
-    field_addrs: &[VAddr; 6],
-    boris: &BorisCoeffs,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
+    ctx: &PushCtx<'_>,
     stream: bool,
     tile: &mut ParticleTile,
     scratch: &mut PushScratch,
@@ -1255,6 +879,7 @@ fn push_tile_batched(
         return;
     }
     wm.mem().flush_cache();
+    let geom = ctx.geom;
     let mut block = NodeBlock::new();
     // Roofline footprint of one guarded field array: the whole array is
     // swept by a tile's run sequence, so this is the operand span the
@@ -1276,13 +901,7 @@ fn push_tile_batched(
         if cell != run_cell {
             flush_run(
                 wm,
-                geom,
-                order,
-                field_addrs,
-                boris,
-                absorbing,
-                zlo,
-                zhi,
+                ctx,
                 tile,
                 &block,
                 &scratch.run_slots,
@@ -1296,7 +915,7 @@ fn push_tile_batched(
             }
             scratch.run_slots.clear();
             scratch.run_frac.clear();
-            load_node_block(geom, order, fields, cell, &mut block);
+            load_node_block(geom, ctx.order, ctx.fields, cell, &mut block);
             run_cell = cell;
         }
         scratch.run_slots.push(p);
@@ -1304,13 +923,7 @@ fn push_tile_batched(
     }
     flush_run(
         wm,
-        geom,
-        order,
-        field_addrs,
-        boris,
-        absorbing,
-        zlo,
-        zhi,
+        ctx,
         tile,
         &block,
         &scratch.run_slots,
@@ -1340,13 +953,7 @@ fn push_tile_batched(
 /// order, so the removal sequence is a pure function of the tile.
 fn flush_run(
     wm: &mut Machine,
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    field_addrs: &[VAddr; 6],
-    boris: &BorisCoeffs,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
+    ctx: &PushCtx<'_>,
     tile: &mut ParticleTile,
     block: &NodeBlock,
     slots: &[usize],
@@ -1360,12 +967,12 @@ fn flush_run(
     let node_idx = &block.idx[..block.nodes];
     let cost = GatherCost::default();
     match stream {
-        None => charge_gather_run(wm, cost, slots.len(), field_addrs, node_idx),
+        None => charge_gather_run(wm, cost, slots.len(), &ctx.field_addrs, node_idx),
         Some((prev_idx, footprint)) => charge_gather_run_reuse(
             wm,
             cost,
             slots.len(),
-            field_addrs,
+            &ctx.field_addrs,
             node_idx,
             prev_idx,
             footprint,
@@ -1375,7 +982,7 @@ fn flush_run(
     while i < slots.len() {
         let n = (slots.len() - i).min(W);
         let pack = &slots[i..i + n];
-        let (e, b) = gather_from_block_lanes_masked(order, block, &fracs[i..i + n]);
+        let (e, b) = gather_from_block_lanes_masked(ctx.order, block, &fracs[i..i + n]);
         // Transpose the pack's phase space into lane registers; tail
         // lanes beyond `n` stay zero.
         let mut u = [Lanes::zero(); 3];
@@ -1388,19 +995,10 @@ fn flush_run(
             u[1].0[l] = tile.soa.uy[p];
             u[2].0[l] = tile.soa.uz[p];
         }
-        boris_push_lanes(boris, &e, &b, &mut u, &mut pos);
+        boris_push_lanes(&ctx.boris, &e, &b, &mut u, &mut pos);
         for (l, &p) in pack.iter().enumerate() {
-            finish_push(
-                geom,
-                absorbing,
-                zlo,
-                zhi,
-                tile,
-                removals,
-                p,
-                [pos[0].lane(l), pos[1].lane(l), pos[2].lane(l)],
-                [u[0].lane(l), u[1].lane(l), u[2].lane(l)],
-            );
+            let lane = |v: &[Lanes; 3]| [v[0].lane(l), v[1].lane(l), v[2].lane(l)];
+            finish_push(ctx, tile, removals, p, lane(&pos), lane(&u));
         }
         i += n;
     }
@@ -1411,27 +1009,22 @@ fn flush_run(
 /// push path retires its particles through — [`push_tile`] after each
 /// [`boris_push`], [`flush_run`] per lane of a pack.
 fn finish_push(
-    geom: &GridGeometry,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
+    ctx: &PushCtx<'_>,
     tile: &mut ParticleTile,
     removals: &mut Vec<usize>,
     p: usize,
     pos: [f64; 3],
     u: [f64; 3],
 ) {
-    let wrapped = geom.wrap_position(pos);
-    let x = wrapped[0];
-    let y = wrapped[1];
-    let mut z = pos[2];
-    if absorbing {
-        if z < zlo || z >= zhi {
+    let [x, y, wrapped_z] = ctx.geom.wrap_position(pos);
+    let z = if ctx.absorbing {
+        if pos[2] < ctx.zlo || pos[2] >= ctx.zhi {
             removals.push(p);
         }
+        pos[2]
     } else {
-        z = wrapped[2];
-    }
+        wrapped_z
+    };
     tile.soa.x[p] = x;
     tile.soa.y[p] = y;
     tile.soa.z[p] = z;

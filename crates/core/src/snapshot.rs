@@ -18,14 +18,43 @@
 //! small and stable, and an explicit byte layout is auditable in a way a
 //! derived serializer is not.
 //!
+//! The payload layout is described **once**, by [`Codec`] impls: each
+//! type's `put` and `get` sit side by side, and plain-data structs list
+//! their fields a single time (`codec_struct!`) to drive both
+//! directions, so the writer and the reader cannot drift apart.
+//!
+//! | type | encoding |
+//! |---|---|
+//! | `u32`, `u64` | little-endian |
+//! | `usize` | widened to `u64` |
+//! | `f64` | `u64` bit pattern |
+//! | `bool` | one byte, 0 or 1 |
+//! | `VAddr` | its `u64` |
+//! | `[T]`, `Vec<T>`, `str`, `String` | `u64` length, then the elements (UTF-8 bytes) |
+//! | `[T; N]`, tuples, structs | the elements or fields in order, no prefix |
+//! | `Option<T>` | `bool` tag, then the value when present |
+//! | `Cow<T>` | as `T` (borrowed when written, owned when read) |
+//!
+//! The section payloads are composed in `Simulation::snapshot`; the
+//! subsystem states they carry (GPMA, particle tiles, cache model,
+//! counters, address map, timing report) have their codecs here.
+//!
 //! [`SnapshotWriter`] builds a buffer section by section;
 //! [`SnapshotReader`] validates the header, table and every section
 //! checksum up front, then hands out bounds-checked [`SectionReader`]s.
 //! Corrupt or truncated input of any shape yields a structured
 //! [`SnapshotError`] — decoding never panics (see `tests/snapshot.rs`
-//! for the per-section corruption matrix).
+//! for the per-section corruption matrix and `tests/fuzz_lite.rs` for
+//! corruption behind valid checksums).
 
+use std::borrow::Cow;
 use std::fmt;
+
+use mpic_deposit::AddrMap;
+use mpic_machine::{CacheLevelState, CacheSimState, CacheStats, PerfCounters, Phase, VAddr};
+use mpic_particles::{GpmaState, ParticleSoA, ParticleTile, PendingMove, RankSortStats};
+
+use crate::timings::{RunReport, StepTimings};
 
 /// Leading magic bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"MPICSNAP";
@@ -153,103 +182,40 @@ impl SnapshotWriter {
         }
     }
 
-    /// Opens a new section; subsequent `put_*` calls append to it.
+    /// Appends section `id`, whose payload is everything `body` puts.
     ///
     /// # Panics
     ///
-    /// Panics if a section is already open or `id` repeats — both are
-    /// writer-side programming errors, not input-dependent conditions.
-    pub fn begin_section(&mut self, id: u32) {
-        assert!(!self.open, "previous section not closed");
+    /// Panics if sections nest or `id` repeats — both are writer-side
+    /// programming errors, not input-dependent conditions.
+    pub fn section(&mut self, id: u32, body: impl FnOnce(&mut Self)) {
+        assert!(!self.open, "sections do not nest");
         assert!(
             self.sections.iter().all(|(sid, _)| *sid != id),
             "duplicate section id {id}"
         );
         self.sections.push((id, Vec::new()));
         self.open = true;
-    }
-
-    /// Closes the current section.
-    pub fn end_section(&mut self) {
-        assert!(self.open, "no open section");
+        body(self);
         self.open = false;
     }
 
-    fn buf(&mut self) -> &mut Vec<u8> {
+    /// Appends `v`'s encoding to the open section.
+    pub fn put<T: Codec + ?Sized>(&mut self, v: &T) {
+        v.put(self);
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
         assert!(self.open, "write outside a section");
-        &mut self.sections.last_mut().expect("open section").1
-    }
-
-    /// Appends a `u32` (little-endian).
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf().extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` (little-endian).
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf().extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` widened to `u64`.
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends an `f64` as its bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a `bool` as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf().push(u8::from(v));
-    }
-
-    /// Appends a length-prefixed `u64` vector.
-    pub fn put_vec_u64(&mut self, v: &[u64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_u64(x);
-        }
-    }
-
-    /// Appends a length-prefixed `usize` vector (as `u64`s).
-    pub fn put_vec_usize(&mut self, v: &[usize]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_usize(x);
-        }
-    }
-
-    /// Appends a length-prefixed `f64` vector (bit patterns).
-    pub fn put_vec_f64(&mut self, v: &[f64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_f64(x);
-        }
-    }
-
-    /// Appends a length-prefixed `bool` vector (one byte each).
-    pub fn put_vec_bool(&mut self, v: &[bool]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_bool(x);
-        }
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf().extend_from_slice(s.as_bytes());
+        self.sections
+            .last_mut()
+            .expect("open section")
+            .1
+            .extend_from_slice(b);
     }
 
     /// Assembles the final buffer: header, table, payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a section is still open.
     pub fn finish(self) -> Vec<u8> {
-        assert!(!self.open, "section left open at finish");
         let table_len = self.sections.len() * TABLE_ENTRY_LEN;
         let payload_len: usize = self.sections.iter().map(|(_, b)| b.len()).sum();
         let mut out = Vec::with_capacity(HEADER_LEN + table_len + payload_len);
@@ -342,6 +308,17 @@ impl<'a> SnapshotReader<'a> {
             pos: 0,
         })
     }
+
+    /// Decodes section `id` as one `T`, which must span the payload
+    /// exactly.
+    pub fn decode<T: Codec>(&self, id: u32) -> Result<T, SnapshotError> {
+        let mut r = self.section(id)?;
+        let v = r.get()?;
+        if r.remaining() != 0 {
+            return Err(r.malformed("bytes left over after the section's value"));
+        }
+        Ok(v)
+    }
 }
 
 /// Sequential bounds-checked decoder over one section's bytes. Every
@@ -376,82 +353,321 @@ impl SectionReader<'_> {
         self.data.len() - self.pos
     }
 
-    /// Reads a `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+    /// Reads one `T`.
+    pub fn get<T: Codec>(&mut self) -> Result<T, SnapshotError> {
+        T::get(self)
+    }
+}
+
+/// A value with a fixed place in the snapshot format: `put` appends its
+/// encoding, `get` reads it back. Decoding never panics and never
+/// allocates more than the section could hold.
+pub trait Codec {
+    /// The fewest bytes any encoding of `Self` occupies. A decoded
+    /// length prefix is checked against it before anything is allocated.
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut SnapshotWriter);
+
+    /// Reads one value back.
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError>
+    where
+        Self: Sized;
+}
+
+/// [`Codec::MIN_BYTES`] of the field `_field` selects (used by
+/// [`codec_struct!`], which names fields but not their types).
+pub(crate) const fn field_min<S, T: Codec>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// Implements [`Codec`] for a plain-data struct from one list of its
+/// fields in wire order: `put` writes them in that order and `get` reads
+/// them back in the same order.
+macro_rules! codec_struct {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::snapshot::Codec for $ty {
+            const MIN_BYTES: usize =
+                0 $(+ $crate::snapshot::field_min(|s: &$ty| &s.$field))+;
+
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $(w.put(&self.$field);)+
+            }
+
+            fn get(
+                r: &mut $crate::snapshot::SectionReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok(Self { $($field: r.get()?,)+ })
+            }
+        }
+    };
+}
+pub(crate) use codec_struct;
+
+/// Fixed-width little-endian integers.
+macro_rules! codec_int {
+    ($($t:ty),+) => {$(
+        impl Codec for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, w: &mut SnapshotWriter) {
+                w.bytes(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+                let bytes = r.take(Self::MIN_BYTES)?;
+                Ok(Self::from_le_bytes(bytes.try_into().expect("exact width")))
+            }
+        }
+    )+};
+}
+codec_int!(u32, u64);
+
+impl Codec for usize {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&(*self as u64));
     }
 
-    /// Reads a `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        Self::try_from(r.get::<u64>()?).map_err(|_| r.malformed("count exceeds usize"))
+    }
+}
+
+impl Codec for f64 {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.to_bits());
     }
 
-    /// Reads a `u64` and narrows it to `usize`.
-    pub fn get_usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.get_u64()?).map_err(|_| self.malformed("count exceeds usize"))
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        r.get().map(Self::from_bits)
+    }
+}
+
+impl Codec for bool {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.bytes(&[u8::from(*self)]);
     }
 
-    /// Reads an `f64` bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a `bool`; bytes other than 0/1 are malformed.
-    pub fn get_bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.take(1)?[0] {
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take(1)?[0] {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(self.malformed("boolean byte is neither 0 nor 1")),
+            _ => Err(r.malformed("boolean byte is neither 0 nor 1")),
         }
     }
+}
 
-    /// Reads a length prefix for `elem_bytes`-wide elements, refusing
-    /// lengths the remaining bytes cannot possibly hold (so corrupt
-    /// counts cannot trigger huge allocations).
-    fn get_len(&mut self, elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let len = self.get_usize()?;
+impl Codec for VAddr {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+    }
+
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        r.get().map(VAddr)
+    }
+}
+
+impl<T: Codec> Codec for [T] {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len());
+        for v in self {
+            w.put(v);
+        }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(self.as_slice());
+    }
+
+    /// The one length guard of the format: a prefix claiming more
+    /// elements than the rest of the section could hold at `T`'s minimum
+    /// size is malformed, so a corrupt count never drives an allocation.
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        let len: usize = r.get()?;
         if len
-            .checked_mul(elem_bytes)
-            .is_none_or(|bytes| bytes > self.remaining())
+            .checked_mul(T::MIN_BYTES.max(1))
+            .is_none_or(|bytes| bytes > r.remaining())
         {
-            return Err(self.malformed("vector length exceeds the section"));
+            return Err(r.malformed("vector length exceeds the section"));
         }
-        Ok(len)
+        let mut v = Vec::with_capacity(len);
+        for _ in 0..len {
+            v.push(r.get()?);
+        }
+        Ok(v)
+    }
+}
+
+impl Codec for str {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len());
+        w.bytes(self.as_bytes());
+    }
+}
+
+impl Codec for String {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(self.as_str());
     }
 
-    /// Reads a length-prefixed `u64` vector.
-    pub fn get_vec_u64(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let len = self.get_len(8)?;
-        (0..len).map(|_| self.get_u64()).collect()
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        let len: usize = r.get()?;
+        let bytes = r.take(len)?.to_vec();
+        Self::from_utf8(bytes).map_err(|_| r.malformed("string is not UTF-8"))
+    }
+}
+
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        for v in self {
+            w.put(v);
+        }
     }
 
-    /// Reads a length-prefixed `usize` vector.
-    pub fn get_vec_usize(&mut self) -> Result<Vec<usize>, SnapshotError> {
-        let len = self.get_len(8)?;
-        (0..len).map(|_| self.get_usize()).collect()
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        let v = (0..N).map(|_| r.get()).collect::<Result<Vec<T>, _>>()?;
+        Ok(v.try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N elements")))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.is_some());
+        if let Some(v) = self {
+            w.put(v);
+        }
     }
 
-    /// Reads a length-prefixed `f64` vector.
-    pub fn get_vec_f64(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let len = self.get_len(8)?;
-        (0..len).map(|_| self.get_f64()).collect()
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(if r.get()? { Some(r.get()?) } else { None })
+    }
+}
+
+impl<B> Codec for Cow<'_, B>
+where
+    B: ToOwned + Codec + ?Sized,
+    B::Owned: Codec,
+{
+    const MIN_BYTES: usize = B::Owned::MIN_BYTES;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&**self);
     }
 
-    /// Reads a length-prefixed `bool` vector.
-    pub fn get_vec_bool(&mut self) -> Result<Vec<bool>, SnapshotError> {
-        let len = self.get_len(1)?;
-        (0..len).map(|_| self.get_bool()).collect()
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        r.get().map(Cow::Owned)
+    }
+}
+
+macro_rules! codec_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+
+            fn put(&self, w: &mut SnapshotWriter) {
+                $(w.put(&self.$i);)+
+            }
+
+            fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+                Ok(($(r.get::<$t>()?,)+))
+            }
+        }
+    };
+}
+codec_tuple!(A.0, B.1);
+codec_tuple!(A.0, B.1, C.2);
+codec_tuple!(A.0, B.1, C.2, D.3);
+codec_tuple!(A.0, B.1, C.2, D.3, E.4);
+
+codec_struct! { PendingMove { particle, old_bin, new_bin } }
+codec_struct! { GpmaState {
+    local_index, bin_offsets, bin_lengths, bin_free, slot_of, num_particles, num_empty_slots,
+    gap_ratio, pending, was_rebuilt_this_step, rebuild_count,
+} }
+codec_struct! { CacheLevelState { tags, stamps, clock, memo_line, memo_slot } }
+codec_struct! { CacheSimState { l1, l2, streams, decay_tick } }
+codec_struct! { CacheStats { hits, misses } }
+codec_struct! { RankSortStats {
+    steps_since_sort, rebuilds_accum, empty_ratio, perf_metric, baseline_perf,
+} }
+codec_struct! { AddrMap { jx, jy, jz, soa, local_index, rhocell, staging } }
+codec_struct! { StepTimings { cycles, particles } }
+codec_struct! { RunReport { useful_flops, steps } }
+
+/// Per-phase cycles in [`Phase::ALL`] order, then the FLOP and
+/// operation totals.
+impl Codec for PerfCounters {
+    const MIN_BYTES: usize = 8 * 8 + 6 * 8;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&Phase::ALL.map(|p| self.cycles(p)));
+        w.put(&(self.flops_issued, self.useful_flops));
+        w.put(&(
+            self.scalar_ops,
+            self.vector_ops,
+            self.mopa_ops,
+            self.tile_transfers,
+        ));
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_string(&mut self) -> Result<String, SnapshotError> {
-        let len = self.get_len(1)?;
-        let bytes = self.take(len)?.to_vec();
-        String::from_utf8(bytes).map_err(|_| self.malformed("string is not UTF-8"))
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        let cycles: [f64; 8] = r.get()?;
+        let mut c = Self::new();
+        for (p, v) in Phase::ALL.into_iter().zip(cycles) {
+            c.add_cycles(p, v);
+        }
+        (c.flops_issued, c.useful_flops) = r.get()?;
+        (c.scalar_ops, c.vector_ops, c.mopa_ops, c.tile_transfers) = r.get()?;
+        Ok(c)
+    }
+}
+
+/// The SoA's seven attribute arrays, its liveness bytes and free-slot
+/// stack, the bin map, then the GPMA state. Decoding validates the tile
+/// as a whole ([`ParticleSoA::from_parts`], [`ParticleTile::from_parts`]):
+/// a tile whose parts disagree is malformed, never a later panic.
+impl Codec for ParticleTile {
+    const MIN_BYTES: usize = 10 * 8 + GpmaState::MIN_BYTES;
+
+    fn put(&self, w: &mut SnapshotWriter) {
+        let soa = &self.soa;
+        for attr in [&soa.x, &soa.y, &soa.z, &soa.ux, &soa.uy, &soa.uz, &soa.w] {
+            w.put(attr);
+        }
+        w.put(&soa.alive);
+        w.put(soa.free_slots());
+        w.put(&self.cells);
+        w.put(&self.gpma.export_state());
+    }
+
+    fn get(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        let (attrs, alive, free, cells, gpma) = r.get()?;
+        let soa = ParticleSoA::from_parts(attrs, alive, free).map_err(|e| r.malformed(e))?;
+        Self::from_parts(soa, gpma, cells).map_err(|e| r.malformed(e))
     }
 }
 
@@ -461,15 +677,15 @@ mod tests {
 
     fn sample() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.begin_section(section::META);
-        w.put_u64(42);
-        w.put_f64(1.5);
-        w.put_str("hello");
-        w.end_section();
-        w.begin_section(section::RNG);
-        w.put_vec_u64(&[1, 2, 3]);
-        w.put_bool(true);
-        w.end_section();
+        w.section(section::META, |w| {
+            w.put(&42u64);
+            w.put(&1.5f64);
+            w.put("hello");
+        });
+        w.section(section::RNG, |w| {
+            w.put(&[1u64, 2, 3][..]);
+            w.put(&true);
+        });
         w.finish()
     }
 
@@ -478,13 +694,61 @@ mod tests {
         let buf = sample();
         let r = SnapshotReader::new(&buf).expect("valid snapshot");
         let mut meta = r.section(section::META).expect("meta present");
-        assert_eq!(meta.get_u64().unwrap(), 42);
-        assert_eq!(meta.get_f64().unwrap().to_bits(), 1.5f64.to_bits());
-        assert_eq!(meta.get_string().unwrap(), "hello");
+        assert_eq!(meta.get::<u64>().unwrap(), 42);
+        assert_eq!(meta.get::<f64>().unwrap().to_bits(), 1.5f64.to_bits());
+        assert_eq!(meta.get::<String>().unwrap(), "hello");
         assert_eq!(meta.remaining(), 0);
-        let mut rng = r.section(section::RNG).expect("rng present");
-        assert_eq!(rng.get_vec_u64().unwrap(), vec![1, 2, 3]);
-        assert!(rng.get_bool().unwrap());
+        let (v, flag): (Vec<u64>, bool) = r.decode(section::RNG).unwrap();
+        assert_eq!(v, vec![1, 2, 3]);
+        assert!(flag);
+    }
+
+    /// Composite codecs round-trip, and a borrowed write reads back as
+    /// the owned value with the same bytes.
+    #[test]
+    fn composite_codecs_round_trip() {
+        type Payload = (
+            [u32; 3],
+            Vec<Option<usize>>,
+            Vec<Vec<f64>>,
+            Cow<'static, [VAddr]>,
+        );
+        let value: Payload = (
+            [7, 8, 9],
+            vec![Some(3), None, Some(usize::MAX >> 1)],
+            vec![vec![], vec![-0.0, f64::MIN_POSITIVE]],
+            Cow::Borrowed(&[VAddr(64), VAddr(128)]),
+        );
+        let mut w = SnapshotWriter::new();
+        w.section(section::CACHE, |w| w.put(&value));
+        let buf = w.finish();
+        let got: Payload = SnapshotReader::new(&buf)
+            .unwrap()
+            .decode(section::CACHE)
+            .unwrap();
+        assert_eq!((got.0, &got.1, &got.3), (value.0, &value.1, &value.3));
+        let bits = |v: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            v.iter()
+                .map(|a| a.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&got.2), bits(&value.2));
+        assert!(matches!(got.3, Cow::Owned(_)));
+    }
+
+    /// `decode` wants the value to span the section exactly: bytes left
+    /// over are malformed, not silently ignored.
+    #[test]
+    fn decode_rejects_trailing_bytes() {
+        let buf = sample();
+        let r = SnapshotReader::new(&buf).unwrap();
+        assert!(matches!(
+            r.decode::<(u64, f64)>(section::META),
+            Err(SnapshotError::Malformed {
+                section: section::META,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -538,27 +802,41 @@ mod tests {
             })
         );
         let mut rng = r.section(section::RNG).unwrap();
-        let _ = rng.get_vec_u64().unwrap();
-        let _ = rng.get_bool().unwrap();
+        let _ = rng.get::<Vec<u64>>().unwrap();
+        let _ = rng.get::<bool>().unwrap();
         assert!(matches!(
-            rng.get_u64().err(),
+            rng.get::<u64>().err(),
             Some(SnapshotError::Malformed { .. })
         ));
     }
 
+    /// A length prefix is checked against the element type's minimum
+    /// encoded size before anything is allocated: a hostile count fails,
+    /// and so does a count one element too long for the bytes present.
     #[test]
     fn hostile_vector_length_is_rejected_without_allocating() {
         let mut w = SnapshotWriter::new();
-        w.begin_section(section::FIELDS);
-        w.put_u64(u64::MAX); // Claimed element count.
-        w.end_section();
+        w.section(section::FIELDS, |w| w.put(&u64::MAX)); // Claimed element count.
+        w.section(section::CACHE, |w| {
+            w.put(&3usize); // Claims three 12-byte (u64, u32) pairs...
+            w.put(&[(1u64, 2u32), (3, 4)][..]); // ...but holds 8 + 24 bytes.
+        });
         let buf = w.finish();
         let r = SnapshotReader::new(&buf).unwrap();
-        let mut s = r.section(section::FIELDS).unwrap();
         assert!(matches!(
-            s.get_vec_f64().err(),
+            r.section(section::FIELDS).unwrap().get::<Vec<f64>>().err(),
             Some(SnapshotError::Malformed { .. })
         ));
+        assert_eq!(
+            r.section(section::CACHE)
+                .unwrap()
+                .get::<Vec<(u64, u32)>>()
+                .err(),
+            Some(SnapshotError::Malformed {
+                section: section::CACHE,
+                reason: "vector length exceeds the section"
+            })
+        );
     }
 
     #[test]

@@ -200,37 +200,21 @@ impl ParticleSoA {
         &self.free
     }
 
-    /// Rebuilds an SoA from checkpointed parts, validating the storage
-    /// invariants instead of trusting the input: all arrays equally long,
-    /// every free-stack index a distinct dead slot, and every dead slot
-    /// on the stack. Returns a description of the violated invariant on
-    /// malformed input (corrupt snapshots must surface as errors, never
-    /// as a poisoned container).
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuilds an SoA from checkpointed parts — the seven attribute
+    /// arrays in `x, y, z, ux, uy, uz, w` order, the liveness flags and
+    /// the free stack — validating the storage invariants instead of
+    /// trusting the input: all arrays equally long, every free-stack
+    /// index a distinct dead slot, and every dead slot on the stack.
+    /// Returns a description of the violated invariant on malformed input
+    /// (corrupt snapshots must surface as errors, never as a poisoned
+    /// container).
     pub fn from_parts(
-        x: Vec<f64>,
-        y: Vec<f64>,
-        z: Vec<f64>,
-        ux: Vec<f64>,
-        uy: Vec<f64>,
-        uz: Vec<f64>,
-        w: Vec<f64>,
+        attrs: [Vec<f64>; 7],
         alive: Vec<bool>,
         free: Vec<usize>,
     ) -> Result<Self, &'static str> {
-        let n = x.len();
-        if [
-            y.len(),
-            z.len(),
-            ux.len(),
-            uy.len(),
-            uz.len(),
-            w.len(),
-            alive.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
-        {
+        let n = alive.len();
+        if attrs.iter().any(|a| a.len() != n) {
             return Err("attribute arrays disagree in length");
         }
         let mut on_stack = vec![false; n];
@@ -249,6 +233,7 @@ impl ParticleSoA {
         if alive.iter().filter(|&&a| !a).count() != free.len() {
             return Err("dead slot missing from the free stack");
         }
+        let [x, y, z, ux, uy, uz, w] = attrs;
         Ok(Self {
             x,
             y,
@@ -366,18 +351,9 @@ mod tests {
         }
         s.remove(1);
         s.remove(3);
-        let rebuilt = ParticleSoA::from_parts(
-            s.x.clone(),
-            s.y.clone(),
-            s.z.clone(),
-            s.ux.clone(),
-            s.uy.clone(),
-            s.uz.clone(),
-            s.w.clone(),
-            s.alive.clone(),
-            s.free_slots().to_vec(),
-        )
-        .unwrap();
+        let attrs = [&s.x, &s.y, &s.z, &s.ux, &s.uy, &s.uz, &s.w].map(|a| a.clone());
+        let rebuilt =
+            ParticleSoA::from_parts(attrs, s.alive.clone(), s.free_slots().to_vec()).unwrap();
         assert_eq!(rebuilt.len(), s.len());
         assert_eq!(rebuilt.free_slots(), s.free_slots());
         // The LIFO order must be preserved: next push reuses slot 3.
@@ -385,17 +361,7 @@ mod tests {
         assert_eq!(r.push(9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 3);
 
         let bad = |free: Vec<usize>, alive: Vec<bool>| {
-            ParticleSoA::from_parts(
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                alive,
-                free,
-            )
+            ParticleSoA::from_parts(std::array::from_fn(|_| vec![0.0; 3]), alive, free)
         };
         assert!(bad(vec![7], vec![true, false, true]).is_err(), "oob");
         assert!(bad(vec![0], vec![true, false, true]).is_err(), "live slot");
@@ -406,13 +372,7 @@ mod tests {
         assert!(bad(vec![], vec![true, false, true]).is_err(), "orphan dead");
         assert!(
             ParticleSoA::from_parts(
-                vec![0.0; 2],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
-                vec![0.0; 3],
+                std::array::from_fn(|i| vec![0.0; if i == 0 { 2 } else { 3 }]),
                 vec![true; 3],
                 vec![],
             )
