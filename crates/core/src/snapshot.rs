@@ -384,7 +384,8 @@ pub(crate) const fn field_min<S, T: Codec>(_field: fn(&S) -> &T) -> usize {
 
 /// Implements [`Codec`] for a plain-data struct from one list of its
 /// fields in wire order: `put` writes them in that order and `get` reads
-/// them back in the same order.
+/// them back in the same order. A field left off the list does not
+/// compile, since `get` builds the struct from the list alone.
 macro_rules! codec_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::snapshot::Codec for $ty {
